@@ -16,12 +16,14 @@ Example::
     output.dir = runs/demo
 
 Matrices are row-major bracketed lists; booleans are ``true``/``false``;
-``#`` starts a comment.  Unknown keys are rejected, and every invariant is
-checked at parse time with a field-level message.
+``#`` starts a comment.  Numbers must be finite (``inf`` and ``nan`` are
+rejected).  Unknown keys are rejected, and every invariant is checked at
+parse time with a field-level message.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,6 +103,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown metrics: {sorted(unknown)}")
 
 
+def _finite(key: str, raw: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: numbers must be finite, got {raw!r}")
+    return value
+
+
 def _parse_scalar(key: str, raw: str):
     raw = raw.strip()
     if raw.startswith("[") and raw.endswith("]"):
@@ -108,9 +116,10 @@ def _parse_scalar(key: str, raw: str):
         if not inner:
             return ()
         try:
-            return tuple(float(tok) for tok in inner.split(","))
+            values = tuple(float(tok) for tok in inner.split(","))
         except ValueError as exc:
             raise ConfigError(f"{key}: malformed bracketed list {raw!r}") from exc
+        return tuple(_finite(key, raw, v) for v in values)
     if raw in ("true", "false"):
         return raw == "true"
     try:
@@ -118,10 +127,10 @@ def _parse_scalar(key: str, raw: str):
     except ValueError:
         pass
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
-        pass
-    return raw
+        return raw
+    return _finite(key, raw, value)
 
 
 def _tokenize(text: str) -> dict:

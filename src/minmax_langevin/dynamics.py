@@ -10,9 +10,16 @@ and adds ``sqrt(2 * tau * eta)``-scaled Gaussian noise drawn from streams
 keyed by (role, particle, step), so trajectories are reproducible and
 independent of evaluation order and of the total particle count.
 
-The pairwise gradient tensor is evaluated in fixed-size blocks of the
-opponent index ``j`` (ascending), with numpy's deterministic reduction inside
-each block; the summation order is therefore fixed across runs.
+Both payoff families have ``grad_x`` affine in ``y`` and ``grad_y`` affine
+in ``x`` (the bilinear term is linear in the opponent and the cosine ripple
+is separable), so the opponent average passes through the gradient exactly:
+
+    b_X[i] = -grad_x V(x^i, mean_j y^j)
+    b_Y[i] = +grad_y V(mean_j x^j, y^i)
+
+Each drift therefore costs one gradient call per role on ``N x d`` inputs
+rather than an ``N x N x d`` pairwise tensor, and the summation order (one
+fixed numpy reduction over the particle axis) never varies between runs.
 """
 
 from __future__ import annotations
@@ -40,11 +47,6 @@ __all__ = [
     "save_snapshot",
     "load_snapshot",
 ]
-
-# Opponent-index block width for the pairwise drift evaluation.  Fixed so
-# that the floating-point summation order never depends on the environment.
-_DRIFT_CHUNK = 512
-
 
 class DivergenceError(RuntimeError):
     """A particle trajectory produced nonfinite coordinates."""
@@ -148,24 +150,18 @@ class AlgorithmParams:
                 )
 
 
+def _mean_field_drift(spec: PayoffSpec, xs: np.ndarray, ys: np.ndarray):
+    """(b_X, b_Y) for clouds of shape (..., N, d), averaging over axis -2."""
+    x_bar = xs.mean(axis=-2, keepdims=True)
+    y_bar = ys.mean(axis=-2, keepdims=True)
+    return -spec.grad_x(xs, y_bar), spec.grad_y(x_bar, ys)
+
+
 def drift_particles(spec: PayoffSpec, state: ParticleState):
     """Empirical-mean drift fields (b_X, b_Y), each of shape (N, d)."""
-    xs, ys = state.xs, state.ys
     if state.dim != spec.dim:
         raise ValueError(f"state dimension {state.dim} != payoff dimension {spec.dim}")
-    n = state.n_particles
-    sum_gx = np.zeros_like(xs)
-    sum_gy = np.zeros_like(ys)
-    for start in range(0, n, _DRIFT_CHUNK):
-        stop = min(start + _DRIFT_CHUNK, n)
-        # axis 0 indexes the particle being moved, axis 1 the opponent j
-        sum_gx += np.add.reduce(
-            spec.grad_x(xs[:, None, :], ys[None, start:stop, :]), axis=1
-        )
-        sum_gy += np.add.reduce(
-            spec.grad_y(xs[None, start:stop, :], ys[:, None, :]), axis=1
-        )
-    return -sum_gx / n, sum_gy / n
+    return _mean_field_drift(spec, state.xs, state.ys)
 
 
 def joint_drift(spec: PayoffSpec, state: ParticleState) -> np.ndarray:
@@ -177,19 +173,18 @@ def joint_drift(spec: PayoffSpec, state: ParticleState) -> np.ndarray:
 def batched_joint_drift(spec: PayoffSpec, zs: np.ndarray, n: int, d: int) -> np.ndarray:
     """b_Z evaluated on a batch of joint vectors, shape (B, 2*n*d).
 
-    Used by the property probes; mathematically identical to mapping
-    :func:`joint_drift` over the rows, but one broadcast evaluation.
+    Used by the property probes; the same formula as :func:`joint_drift`,
+    evaluated on all rows at once.
     """
     zs = np.asarray(zs, dtype=float)
     if zs.ndim != 2 or zs.shape[1] != 2 * n * d:
         raise ValueError(f"batch must have shape (B, {2 * n * d})")
     batch = zs.shape[0]
-    xs = zs[:, : n * d].reshape(batch, n, d)
-    ys = zs[:, n * d :].reshape(batch, n, d)
-    gx = np.add.reduce(spec.grad_x(xs[:, :, None, :], ys[:, None, :, :]), axis=2)
-    gy = np.add.reduce(spec.grad_y(xs[:, None, :, :], ys[:, :, None, :]), axis=2)
+    b_x, b_y = _mean_field_drift(
+        spec, zs[:, : n * d].reshape(batch, n, d), zs[:, n * d :].reshape(batch, n, d)
+    )
     return np.concatenate(
-        [(-gx / n).reshape(batch, n * d), (gy / n).reshape(batch, n * d)], axis=1
+        [b_x.reshape(batch, n * d), b_y.reshape(batch, n * d)], axis=1
     )
 
 

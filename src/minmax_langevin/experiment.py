@@ -14,11 +14,13 @@ the envelopes, library versions and timing.
 from __future__ import annotations
 
 import json
+import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import ExperimentConfig, InitSpec, serialize_config
@@ -268,10 +270,15 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
         "noise_scheme": "philox4x64-10 keyed by (seed, stream_id); "
         "stream_id = splitmix64 chain over (sha256 role tag, particle, step); "
         "inverse-CDF gaussians",
+        "drift_scheme": "mean-field: b_X[i] = -grad_x V(x^i, mean_j y^j), "
+        "b_Y[i] = grad_y V(mean_j x^j, y^i); particle means by numpy mean "
+        "over the particle axis",
         "config": serialize_config(config),
         "versions": {
             "minmax_langevin": __version__,
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "python": platform.python_version(),
         },
         "created_unix": time.time(),
         "runtime_seconds": time.perf_counter() - t_start,

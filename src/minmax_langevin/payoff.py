@@ -13,8 +13,11 @@ Two families are provided:
   are available in closed form.
 
 Both families expose elementwise-broadcasting gradients: ``grad_x``/``grad_y``
-accept inputs of shape ``(..., d)`` and return the same shape, which is what
-the particle drift evaluation relies on.
+accept inputs of shape ``(..., d)`` and return the broadcast shape.  The
+particle drift also relies on ``grad_x`` being affine in ``y`` and ``grad_y``
+affine in ``x`` (true here: the cross term ``x'Cy`` is bilinear and the
+ripple is separable), so an average over opponents equals the gradient at
+the opponents' mean.  A new family must keep both properties.
 """
 
 from __future__ import annotations

@@ -37,6 +37,34 @@ def minimal_config(tmp_path, **extra_lines):
     return text
 
 
+def config_with(tmp_path, settings):
+    """The minimal config with ``settings`` replacing or adding keys."""
+    lines = [line for line in minimal_config(tmp_path).splitlines()
+             if line.split("=", 1)[0].strip() not in settings]
+    lines += [f"{key} = {value}" for key, value in settings.items()]
+    return "\n".join(lines) + "\n"
+
+
+# (key, nonfinite value, other keys that make the key meaningful)
+NONFINITE_FIELDS = [
+    ("tau", "inf", {}),
+    ("algorithm.eta", "nan", {}),
+    ("init.cov_scale", "inf", {}),
+    ("init.mean", "[0.0, inf]", {"init.mean_mode": "explicit"}),
+    ("coupled.mean", "[nan, 0.0]",
+     {"coupled.mean_mode": "explicit", "coupled.cov_scale": "0.5"}),
+    ("payoff.amplitude", "inf",
+     {"payoff.kind": "PerturbedQuadratic", "payoff.frequency": "1.0"}),
+    ("payoff.frequency", "nan",
+     {"payoff.kind": "PerturbedQuadratic", "payoff.amplitude": "0.1"}),
+    ("payoff.A", "[inf]", {}),
+    ("payoff.B", "[-inf]", {}),
+    ("payoff.C", "[nan]", {}),
+    ("payoff.u", "[inf]", {}),
+    ("payoff.v", "[nan]", {}),
+]
+
+
 class TestParsing:
     def test_defaults_applied(self, tmp_path):
         cfg = parse_config(minimal_config(tmp_path))
@@ -118,6 +146,8 @@ class TestRunArtifacts:
         assert manifest["regime_checks"]["stability_eta_lt_alpha_over_2L2"]
         assert manifest["variance_reading"] == "exact"
         assert "config" in manifest and "payoff.kind" in manifest["config"]
+        assert manifest["drift_scheme"].startswith("mean-field")
+        assert set(manifest["versions"]) >= {"numpy", "scipy", "python"}
 
     def test_envelope_columns_populated_for_quadratic(self, tmp_path):
         bundle = run_experiment(parse_config(minimal_config(tmp_path,
@@ -238,6 +268,16 @@ class TestCliCommands:
         last = float(lines[-1].split(",")[idx])
         assert first == pytest.approx(1.0)
         assert last < first
+
+    @pytest.mark.parametrize("key,value,context", NONFINITE_FIELDS,
+                             ids=[field[0] for field in NONFINITE_FIELDS])
+    def test_nonfinite_number_is_config_error(self, tmp_path, capsys, key, value,
+                                              context):
+        cfg_path = tmp_path / "nonfinite.cfg"
+        cfg_path.write_text(config_with(tmp_path, {**context, key: value}))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "finite" in err
 
     def test_couple_requires_coupled_section(self, tmp_path):
         cfg_path = tmp_path / "nc.cfg"

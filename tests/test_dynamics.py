@@ -7,6 +7,7 @@ from minmax_langevin import (
     JointPoint,
     KeyedNoise,
     ParticleState,
+    PerturbedQuadratic,
     QuadraticBilinear,
     contraction_factor,
     coupled_contraction_run,
@@ -29,6 +30,47 @@ from minmax_langevin.dynamics import batched_joint_drift
 
 def scalar_quadratic(c=1.0):
     return QuadraticBilinear(dim=1, A=[[1.0]], B=[[1.0]], C=[[c]])
+
+
+def pairwise_drift(spec, xs, ys):
+    """Reference O(N^2 d) sum: -(1/N) sum_j grad_x V(x^i, y^j) and its y twin."""
+    n = xs.shape[0]
+    gx = spec.grad_x(xs[:, None, :], ys[None, :, :]).sum(axis=1)
+    gy = spec.grad_y(xs[None, :, :], ys[:, None, :]).sum(axis=1)
+    return -gx / n, gy / n
+
+
+def dense_specs(d, seed=0):
+    """Both families with dense A, B, C and nonzero u, v."""
+    rng = np.random.default_rng(seed)
+    ma, mb = rng.normal(size=(2, d, d))
+    quad = QuadraticBilinear(
+        dim=d, A=ma @ ma.T + d * np.eye(d), B=mb @ mb.T + d * np.eye(d),
+        C=rng.normal(size=(d, d)), u=rng.normal(size=d), v=rng.normal(size=d),
+    )
+    return quad, PerturbedQuadratic(base=quad, amplitude=0.1, frequency=1.5)
+
+
+def max_rel_err(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+class GradSizeRecorder:
+    """Payoff wrapper that records the element count of each gradient result."""
+
+    def __init__(self, spec):
+        self.spec, self.sizes = spec, []
+        self.dim = spec.dim
+
+    def grad_x(self, x, y):
+        out = self.spec.grad_x(x, y)
+        self.sizes.append(out.size)
+        return out
+
+    def grad_y(self, x, y):
+        out = self.spec.grad_y(x, y)
+        self.sizes.append(out.size)
+        return out
 
 
 class InjectedNoise:
@@ -71,6 +113,35 @@ class TestDrift:
         for row, z in zip(batched, zs):
             state = ParticleState.from_joint_vector(z, 4, 2)
             np.testing.assert_allclose(row, joint_drift(spec, state), atol=1e-14)
+            ref_x, ref_y = pairwise_drift(spec, state.xs, state.ys)
+            np.testing.assert_allclose(
+                row, np.concatenate([ref_x.ravel(), ref_y.ravel()]), atol=1e-14
+            )
+
+    @pytest.mark.parametrize("spec_idx", [0, 1])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("n", [1, 7, 600])
+    def test_matches_pairwise_oracle(self, spec_idx, d, n):
+        spec = dense_specs(d)[spec_idx]
+        rng = np.random.default_rng(100 * n + 10 * d + spec_idx)
+        state = ParticleState(
+            xs=rng.normal(1.0, 2.0, size=(n, d)), ys=rng.normal(-0.5, 2.0, size=(n, d))
+        )
+        b_x, b_y = drift_particles(spec, state)
+        ref_x, ref_y = pairwise_drift(spec, state.xs, state.ys)
+        assert max_rel_err(b_x, ref_x) <= 1e-12
+        assert max_rel_err(b_y, ref_y) <= 1e-12
+
+    @pytest.mark.parametrize("spec_idx", [0, 1])
+    def test_gradient_work_is_linear_in_particles(self, spec_idx):
+        # Only N*d-sized gradient evaluations are allowed: no pairwise tensor.
+        n, d = 300, 3
+        recorder = GradSizeRecorder(dense_specs(d)[spec_idx])
+        rng = np.random.default_rng(5)
+        state = ParticleState(xs=rng.normal(size=(n, d)), ys=rng.normal(size=(n, d)))
+        drift_particles(recorder, state)
+        assert len(recorder.sizes) == 2
+        assert max(recorder.sizes) <= n * d
 
 
 class TestStep:
