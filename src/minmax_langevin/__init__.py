@@ -32,7 +32,6 @@ from .dynamics import (
     drift_particles,
     joint_drift,
     load_snapshot,
-    one_step_map,
     replicate_point,
     run_algorithm,
     save_snapshot,
@@ -91,7 +90,6 @@ __all__ = [
     "step_algorithm",
     "run_algorithm",
     "coupled_contraction_run",
-    "one_step_map",
     "contraction_factor",
     "replicate_point",
     "save_snapshot",

@@ -10,6 +10,11 @@ and adds ``sqrt(2 * tau * eta)``-scaled Gaussian noise drawn from streams
 keyed by (role, particle, step), so trajectories are reproducible and
 independent of evaluation order and of the total particle count.
 
+Clouds of shape ``(..., N, d)`` stack systems on the leading axes.  The
+drift averages over the particle axis only and each step's ``(N, d)`` noise
+block broadcasts over the stack, so a stacked pair is two systems driven by
+the same noise: the synchronous coupling of the contraction argument.
+
 Both payoff families have ``grad_x`` affine in ``y`` and ``grad_y`` affine
 in ``x`` (the bilinear term is linear in the opponent and the cosine ripple
 is separable), so the opponent average passes through the gradient exactly:
@@ -41,7 +46,7 @@ __all__ = [
     "step_algorithm",
     "run_algorithm",
     "coupled_contraction_run",
-    "one_step_map",
+    "coupling_distance_sq",
     "contraction_factor",
     "replicate_point",
     "save_snapshot",
@@ -58,7 +63,7 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ParticleState:
-    """Particle clouds ``xs``, ``ys`` of shape (N, d) plus a step counter."""
+    """Particle clouds ``xs``, ``ys`` of shape (..., N, d) plus a step counter."""
 
     xs: np.ndarray
     ys: np.ndarray
@@ -67,9 +72,10 @@ class ParticleState:
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
         ys = np.asarray(self.ys, dtype=float)
-        if xs.ndim != 2 or xs.shape != ys.shape:
+        if xs.ndim < 2 or xs.shape != ys.shape:
             raise ValueError(
-                f"xs and ys must share shape (N, d), got {xs.shape} and {ys.shape}"
+                f"xs and ys must share shape (..., N, d), got {xs.shape} "
+                f"and {ys.shape}"
             )
         if self.step < 0:
             raise ValueError("step must be nonnegative")
@@ -78,11 +84,24 @@ class ParticleState:
 
     @property
     def n_particles(self) -> int:
-        return self.xs.shape[0]
+        return self.xs.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.xs.shape[1]
+        return self.xs.shape[-1]
+
+    @classmethod
+    def stacked(cls, *states: "ParticleState") -> "ParticleState":
+        """One state whose leading axis indexes ``states``, at the first's step."""
+        return cls(
+            xs=np.stack([s.xs for s in states]),
+            ys=np.stack([s.ys for s in states]),
+            step=states[0].step,
+        )
+
+    def system(self, i: int) -> "ParticleState":
+        """System ``i`` of a stacked state, as (N, d) views."""
+        return ParticleState(xs=self.xs[i], ys=self.ys[i], step=self.step)
 
     def joint_vector(self) -> np.ndarray:
         """Flattened z = (x^1..x^N, y^1..y^N) in R^{2dN}."""
@@ -96,8 +115,8 @@ class ParticleState:
         return cls(xs=z[: n * d].reshape(n, d), ys=z[n * d :].reshape(n, d), step=step)
 
     def pairs(self) -> np.ndarray:
-        """Per-particle joint samples (x^i, y^i) as an (N, 2d) matrix."""
-        return np.hstack([self.xs, self.ys])
+        """Per-particle joint samples (x^i, y^i) as an (..., N, 2d) array."""
+        return np.concatenate([self.xs, self.ys], axis=-1)
 
 
 def replicate_point(z: JointPoint, n: int, step: int = 0) -> ParticleState:
@@ -158,7 +177,7 @@ def _mean_field_drift(spec: PayoffSpec, xs: np.ndarray, ys: np.ndarray):
 
 
 def drift_particles(spec: PayoffSpec, state: ParticleState):
-    """Empirical-mean drift fields (b_X, b_Y), each of shape (N, d)."""
+    """Empirical-mean drift fields (b_X, b_Y), each of the state's shape."""
     if state.dim != spec.dim:
         raise ValueError(f"state dimension {state.dim} != payoff dimension {spec.dim}")
     return _mean_field_drift(spec, state.xs, state.ys)
@@ -188,14 +207,6 @@ def batched_joint_drift(spec: PayoffSpec, zs: np.ndarray, n: int, d: int) -> np.
     )
 
 
-def one_step_map(spec: PayoffSpec, state: ParticleState, eta: float) -> ParticleState:
-    """The deterministic part G(z) = z + eta * b_Z(z) of one update."""
-    b_x, b_y = drift_particles(spec, state)
-    return ParticleState(
-        xs=state.xs + eta * b_x, ys=state.ys + eta * b_y, step=state.step
-    )
-
-
 def contraction_factor(alpha: float, smooth_l: float, eta: float) -> float:
     """Certified Lipschitz constant M = sqrt(1 - 2 eta alpha + 4 eta^2 L^2).
 
@@ -214,7 +225,8 @@ def step_algorithm(
     """One discrete update x += eta*b_X + sqrt(2 tau eta)*zeta (same for y).
 
     Noise for particle i is drawn from the stream keyed by
-    ``(role, i, state.step)``; with tau = 0 no streams are consumed.
+    ``(role, i, state.step)``; with tau = 0 no streams are consumed.  A
+    stacked state shares each step's noise block across its systems.
     """
     params.validate_for(spec)
     n, d = state.n_particles, state.dim
@@ -249,10 +261,10 @@ def run_algorithm(
     """Iterate the particle update, recording checkpoints.
 
     Checkpoints land on step 0, every ``checkpoint_every`` steps, and the
-    final step.  Each checkpoint entry is ``(step, payload)`` where payload
-    is the state snapshot, or whatever ``on_checkpoint(step, state)`` returns
-    when a callback is supplied (useful to record metrics without holding
-    snapshots for long runs).
+    final step, counted from ``init``.  Each checkpoint entry is ``(step,
+    payload)`` where payload is the state snapshot, or whatever
+    ``on_checkpoint(step, state)`` returns when a callback is supplied
+    (useful to record metrics without holding snapshots for long runs).
 
     Returns ``(checkpoints, final_state)``.
     """
@@ -270,10 +282,10 @@ def run_algorithm(
     checkpoints = []
     if 0 in marks:
         checkpoints.append((0, record(0, state)))
-    for _ in range(params.steps):
+    for k in range(1, params.steps + 1):
         state = step_algorithm(spec, state, params, noise)
-        if state.step in marks:
-            checkpoints.append((state.step, record(state.step, state)))
+        if k in marks:
+            checkpoints.append((k, record(k, state)))
     return checkpoints, state
 
 
@@ -301,6 +313,12 @@ def load_snapshot(path) -> ParticleState:
     return ParticleState(xs=data[:n], ys=data[n:], step=step)
 
 
+def coupling_distance_sq(pair: ParticleState) -> float:
+    """``|z^A - z^B|^2`` between the two systems of a stacked pair."""
+    a, b = pair.system(0), pair.system(1)
+    return float(np.sum((a.joint_vector() - b.joint_vector()) ** 2))
+
+
 def coupled_contraction_run(
     spec: PayoffSpec,
     init_a: ParticleState,
@@ -310,41 +328,14 @@ def coupled_contraction_run(
 ):
     """Advance two systems with identical noise; return squared distances.
 
-    The returned list holds ``|z_k^A - z_k^B|^2`` for k = 0..steps.  With
-    synchronous noise the difference evolves through the deterministic map
-    G alone, so each ratio is certified to stay below M^2 (the caller checks;
-    this function only produces the trajectory).
+    The returned list holds ``|z_k^A - z_k^B|^2`` for k = 0..steps.  The
+    pair runs stacked, so the difference evolves through the deterministic
+    map G alone and each ratio is certified to stay below M^2 (the caller
+    checks; this function only produces the trajectory).
     """
-    if init_a.xs.shape != init_b.xs.shape:
-        raise ValueError("coupled inits must have identical shapes")
-    c = spec.constants()
-    if not params.eta < c.alpha / (2.0 * c.smooth_L**2):
-        raise ValueError(
-            "contraction is not certified: require eta < alpha / (2 L^2)"
-        )
-    params.validate_for(spec)
-    n, d = init_a.n_particles, init_a.dim
-    noise = KeyedNoise(seed)
-    scale = np.sqrt(2.0 * params.tau * params.eta)
-    state_a, state_b = init_a, init_b
-    distances = [float(np.sum((state_a.joint_vector() - state_b.joint_vector()) ** 2))]
-    for _ in range(params.steps):
-        step = state_a.step
-        zeta_x = noise.block("x", n, step, d) if params.tau > 0.0 else None
-        zeta_y = noise.block("y", n, step, d) if params.tau > 0.0 else None
-        new = []
-        for state in (state_a, state_b):
-            b_x, b_y = drift_particles(spec, state)
-            if not (np.isfinite(b_x).all() and np.isfinite(b_y).all()):
-                raise DivergenceError(step, "drift is nonfinite in coupled run")
-            xs = state.xs + params.eta * b_x
-            ys = state.ys + params.eta * b_y
-            if zeta_x is not None:
-                xs = xs + scale * zeta_x
-                ys = ys + scale * zeta_y
-            new.append(ParticleState(xs=xs, ys=ys, step=step + 1))
-        state_a, state_b = new
-        distances.append(
-            float(np.sum((state_a.joint_vector() - state_b.joint_vector()) ** 2))
-        )
-    return distances
+    checkpoints, _ = run_algorithm(
+        spec, ParticleState.stacked(init_a, init_b), params, seed,
+        checkpoint_every=1,
+        on_checkpoint=lambda _k, state: coupling_distance_sq(state),
+    )
+    return [distance for _, distance in checkpoints]

@@ -30,11 +30,13 @@ from .deterministic import (
     solve_equilibrium,
     warm_start_tolerance,
 )
+# coupled_contraction_run stays bound: perfbench/tracer.py patches it by name.
 from .dynamics import (
     DivergenceError,
     ParticleState,
     coupled_contraction_run,
     contraction_factor,
+    coupling_distance_sq,
     load_snapshot,
     run_algorithm,
     save_snapshot,
@@ -188,17 +190,18 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
                 config.tau, config.algorithm.eta, step, _bias, n,
             )
 
-    coupling = None
-    if config.coupled is not None:
+    # A coupled run steps systems A and B as one stacked pair sharing each
+    # step's noise; every output but the coupling distance is system A's.
+    coupled = config.coupled is not None
+    init = init_state_a
+    if coupled:
         init_state_b, _ = initial_state(config, config.coupled, noise)
-        distances = coupled_contraction_run(
-            spec, init_state_a, init_state_b, config.algorithm, config.seed
-        )
-        coupling = np.asarray(distances)
+        init = ParticleState.stacked(init_state_a, init_state_b)
 
     enabled = set(config.metrics)
 
-    def record(step: int, state: ParticleState) -> MetricsRecord:
+    def record(step: int, pair: ParticleState) -> MetricsRecord:
+        state = pair.system(0) if coupled else pair
         if config.snapshots == "all":
             save_snapshot(out / f"snapshot_{step:08d}.csv", state)
         pairs = state.pairs()
@@ -228,17 +231,16 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
             kl_fit_to_eq=kl,
             w2_fit_to_eq_sq=w2,
             grad_gap_bound=gap,
-            coupling_dist_sq=(
-                float(coupling[step]) if coupling is not None else None
-            ),
+            coupling_dist_sq=coupling_distance_sq(pair) if coupled else None,
             envelope_kl=envelope(step) if envelope is not None else None,
             bias_bound=bias_value,
         )
 
-    checkpoints, final_state = run_algorithm(
-        spec, init_state_a, config.algorithm, config.seed,
+    checkpoints, final = run_algorithm(
+        spec, init, config.algorithm, config.seed,
         config.checkpoint_every, on_checkpoint=record,
     )
+    final_state = final.system(0) if coupled else final
     records = [rec for _, rec in checkpoints]
     if config.snapshots == "final":
         save_snapshot(out / "final_state.csv", final_state)
@@ -266,7 +268,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
         "contraction_factor_M": contraction_factor(
             constants.alpha, constants.smooth_L, config.algorithm.eta
         ),
-        "coupling_enabled": coupling is not None,
+        "coupling_enabled": coupled,
         "noise_scheme": "philox4x64-10 keyed by (seed, stream_id); "
         "stream_id = splitmix64 chain over (sha256 role tag, particle, step); "
         "inverse-CDF gaussians",

@@ -5,6 +5,8 @@ import pytest
 
 from minmax_langevin import (
     ConfigError,
+    KeyedNoise,
+    coupled_contraction_run,
     load_snapshot,
     parse_config,
     run_experiment,
@@ -13,7 +15,7 @@ from minmax_langevin import (
 )
 from minmax_langevin.cli import main
 from minmax_langevin.dynamics import ParticleState
-from minmax_langevin.experiment import csv_header
+from minmax_langevin.experiment import csv_header, initial_state
 
 MINIMAL = """
 payoff.kind = QuadraticBilinear
@@ -268,6 +270,43 @@ class TestCliCommands:
         last = float(lines[-1].split(",")[idx])
         assert first == pytest.approx(1.0)
         assert last < first
+
+    def test_couple_system_a_matches_plain_run(self, tmp_path):
+        # The coupled run steps A and B stacked; A's columns and final state
+        # must be the bytes of the plain run, and the distance column the
+        # coupled_contraction_run trajectory at each checkpoint.
+        plain_text = minimal_config(tmp_path, checkpoint_every=7,
+                                    output__snapshots="final")
+        couple_text = plain_text + (
+            "coupled.mean_mode = explicit\n"
+            "coupled.mean = [0.75, -0.25]\n"
+            "coupled.cov_scale = 0.5\n"
+        )
+        plain = run_experiment(parse_config(plain_text), tmp_path / "plain")
+        config = parse_config(couple_text)
+        coupled = run_experiment(config, tmp_path / "couple")
+        idx = csv_header(1).split(",").index("coupling_dist_sq")
+        plain_rows = plain.csv_path.read_text().splitlines()
+        couple_rows = coupled.csv_path.read_text().splitlines()
+        assert len(plain_rows) == len(couple_rows)
+        for plain_row, couple_row in zip(plain_rows, couple_rows):
+            plain_cells, couple_cells = plain_row.split(","), couple_row.split(",")
+            del plain_cells[idx], couple_cells[idx]
+            assert plain_cells == couple_cells
+        assert ((tmp_path / "couple" / "final_state.csv").read_bytes()
+                == (tmp_path / "plain" / "final_state.csv").read_bytes())
+
+        noise = KeyedNoise(config.seed)
+        init_a, _ = initial_state(config, config.init, noise)
+        init_b, _ = initial_state(config, config.coupled, noise)
+        distances = coupled_contraction_run(
+            config.payoff, init_a, init_b, config.algorithm, config.seed
+        )
+        steps = [record.step for record in coupled.records]
+        assert steps == [0, 7, 14, 21, 28, 35, 42, 49, 56, 60]
+        for record, row in zip(coupled.records, couple_rows[1:]):
+            assert record.coupling_dist_sq == distances[record.step]
+            assert float(row.split(",")[idx]) == distances[record.step]
 
     @pytest.mark.parametrize("key,value,context", NONFINITE_FIELDS,
                              ids=[field[0] for field in NONFINITE_FIELDS])

@@ -186,6 +186,27 @@ class TestStep:
         assert err.value.step == 17
 
 
+    @pytest.mark.parametrize("spec_idx", [0, 1])
+    def test_stacked_pair_equals_separate_steps(self, spec_idx):
+        # One noise draw shared by a stacked pair reproduces two separate
+        # steps bit for bit: the synchronous coupling of the contraction proof.
+        spec = dense_specs(3)[spec_idx]
+        rng = np.random.default_rng(40 + spec_idx)
+        a, b = (
+            ParticleState(xs=rng.normal(size=(16, 3)), ys=rng.normal(size=(16, 3)),
+                          step=5)
+            for _ in range(2)
+        )
+        params = AlgorithmParams(eta=0.002, tau=0.7, n_particles=16, steps=1)
+        noise = KeyedNoise(11)
+        pair = step_algorithm(spec, ParticleState.stacked(a, b), params, noise)
+        assert pair.step == 6
+        for i, single in enumerate((a, b)):
+            alone = step_algorithm(spec, single, params, noise)
+            np.testing.assert_array_equal(pair.system(i).xs, alone.xs)
+            np.testing.assert_array_equal(pair.system(i).ys, alone.ys)
+
+
 class TestRun:
     def test_zero_steps_only_initial_checkpoint(self):
         q = scalar_quadratic()
@@ -203,6 +224,17 @@ class TestRun:
             params = AlgorithmParams(eta=0.05, tau=1.0, n_particles=2, steps=steps)
             checkpoints, _ = run_algorithm(q, init, params, seed=1, checkpoint_every=every)
             assert [k for k, _ in checkpoints] == expected
+
+    def test_checkpoints_count_from_a_nonzero_start_step(self):
+        q = scalar_quadratic()
+        init = ParticleState(xs=np.zeros((2, 1)), ys=np.ones((2, 1)), step=5)
+        params = AlgorithmParams(eta=0.05, tau=1.0, n_particles=2, steps=7)
+        checkpoints, final = run_algorithm(q, init, params, seed=1, checkpoint_every=3)
+        assert [k for k, _ in checkpoints] == [0, 3, 6, 7]
+        assert [s.step for _, s in checkpoints] == [5, 8, 11, 12]
+        assert final.step == 12
+        distances = coupled_contraction_run(q, init, init, params, seed=1)
+        assert distances == [0.0] * 8
 
     def test_same_seed_bit_identical(self):
         spec = default_specs(dim=2)[1]
@@ -294,6 +326,25 @@ class TestCoupled:
         params_bad = AlgorithmParams(eta=0.6, tau=1.0, n_particles=1, steps=1)
         with pytest.raises(ValueError, match="certified|stability"):
             coupled_contraction_run(q, init, init, params_bad, seed=0)
+
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("q,b_xy,eta,message", [
+        # The state of test_divergent_drift_reports_step: the drift overflows.
+        (scalar_quadratic(c=0.5), (1.5e308, 1.2e308), 0.01, "drift"),
+        # A finite drift whose update overflows the state.
+        (QuadraticBilinear(dim=1, A=[[0.1]], B=[[0.1]], C=[[0.5]]),
+         (1.79e308, -1e308), 0.15, "state overflowed"),
+    ], ids=["drift", "update"])
+    def test_divergent_system_b_reports_step(self, q, b_xy, eta, message):
+        init_a = ParticleState(xs=np.zeros((1, 1)), ys=np.zeros((1, 1)), step=17)
+        init_b = ParticleState(
+            xs=np.full((1, 1), b_xy[0]), ys=np.full((1, 1), b_xy[1]), step=17
+        )
+        params = AlgorithmParams(eta=eta, tau=0.0, n_particles=1, steps=1)
+        with pytest.raises(DivergenceError, match=message) as err:
+            coupled_contraction_run(q, init_a, init_b, params, seed=0)
+        assert err.value.step == 17
 
 
 class TestSnapshots:
