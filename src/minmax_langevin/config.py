@@ -40,7 +40,7 @@ __all__ = [
     "KNOWN_METRICS",
 ]
 
-KNOWN_METRICS = ("moments", "kl", "w2", "grad_gap")
+KNOWN_METRICS = ("kl", "w2", "grad_gap")
 
 _INIT_FIELDS = {"kind", "mean_mode", "mean", "cov_scale", "snapshot"}
 
@@ -79,7 +79,6 @@ class InitSpec:
 @dataclass(frozen=True)
 class ExperimentConfig:
     payoff: PayoffSpec
-    tau: float
     algorithm: AlgorithmParams
     seed: int
     checkpoint_every: int
@@ -89,9 +88,12 @@ class ExperimentConfig:
     output_dir: str = "runs"
     snapshots: str = "none"  # none | final | all: particle dumps at checkpoints
 
+    @property
+    def tau(self) -> float:
+        """The entropy temperature, stored once in ``algorithm``."""
+        return self.algorithm.tau
+
     def __post_init__(self):
-        if self.tau < 0.0:
-            raise ConfigError("tau must be nonnegative")
         if self.seed < 0 or self.seed >= 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
         if self.checkpoint_every < 1:
@@ -277,7 +279,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"algorithm: {exc}") from exc
     try:
         return ExperimentConfig(
-            payoff=spec, tau=tau, algorithm=algorithm, seed=seed,
+            payoff=spec, algorithm=algorithm, seed=seed,
             checkpoint_every=checkpoint_every, metrics=metrics, init=init,
             coupled=coupled, output_dir=output_dir, snapshots=snapshots,
         )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import GaussianDist
-from .rng import NoiseStream, standard_normal_block
+from .rng import NoiseStream, create_stream, derive_stream_id, standard_normal_block
 
 __all__ = [
     "MetricsRecord",
@@ -159,17 +159,12 @@ def sliced_w2(
     if n_projections < 1:
         raise ValueError("n_projections must be at least 1")
     if stream is None:
-        from .rng import create_stream, derive_stream_id
-
         stream = create_stream(0, derive_stream_id("sliced-w2", 0, 0))
     m = a.shape[1]
     total = 0.0
     for _ in range(n_projections):
         direction = standard_normal_block(stream, m)
-        norm = np.linalg.norm(direction)
-        if norm == 0.0:  # vanishing probability; redraw deterministically
-            continue
-        direction = direction / norm
+        direction = direction / np.linalg.norm(direction)
         w = empirical_w2_1d(a @ direction, b @ direction)
         total += w * w
     return float(np.sqrt(total / n_projections))

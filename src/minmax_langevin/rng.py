@@ -14,15 +14,14 @@ Derivation scheme (documented because reports reference it):
    the step counter.
 2. The 128-bit Philox-4x64-10 key is ``(seed, stream_id)``.  Draw ``j`` of a
    stream reads lane ``j % 4`` of the Philox block at counter ``j // 4 + 1``
-   (the +1 matches numpy's Philox block indexing, which this implementation
-   is cross-checked against in the test suite).
+   (the +1 matches numpy's Philox block indexing; the test suite checks whole
+   streams against ``np.random.Philox``).  Both public paths, a scalar
+   ``NoiseStream`` and a ``KeyedNoise`` particle block, apply this one rule
+   through the same function.
 3. 64-bit words map to open-interval uniforms ``((w >> 11) + 0.5) * 2**-53``
    and then through the inverse normal CDF (``scipy.special.ndtri``).  The
    inverse-CDF method consumes exactly one word per variate; it is the fixed
    Gaussian-generation method for this package.
-
-The Philox kernel is written with vectorized numpy uint64 arithmetic so that
-one call can service a whole particle block per step.
 """
 
 from __future__ import annotations
@@ -75,14 +74,12 @@ def _philox_block(c0, k0, k1):
     ``c0``, ``k0``, ``k1`` are broadcast-compatible uint64 arrays; returns the
     four output lanes as arrays of the broadcast shape.
     """
-    c0 = np.asarray(c0, dtype=_U64)
-    zeros = np.zeros(np.broadcast_shapes(c0.shape, np.shape(k0), np.shape(k1)), _U64)
-    c0 = c0 + zeros
-    c1 = zeros.copy()
-    c2 = zeros.copy()
-    c3 = zeros.copy()
-    k0 = np.asarray(k0, dtype=_U64) + zeros
-    k1 = np.asarray(k1, dtype=_U64) + zeros
+    k0 = np.asarray(k0, dtype=_U64)
+    k1 = np.asarray(k1, dtype=_U64)
+    # Only the counter words take the broadcast shape; a scalar key stays a
+    # scalar through the rounds.
+    c1 = c2 = c3 = np.zeros(np.broadcast_shapes(np.shape(c0), k0.shape, k1.shape), _U64)
+    c0 = np.asarray(c0, dtype=_U64) + c1
     with np.errstate(over="ignore"):
         for _ in range(10):
             hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
@@ -128,6 +125,21 @@ def _words_to_normals(words) -> np.ndarray:
     return ndtri(u)
 
 
+def _stream_normals(seed: int, stream_ids, start: int, count: int) -> np.ndarray:
+    """Draws ``start .. start+count-1`` of every stream ``(seed, stream_ids[...])``.
+
+    The result has shape ``stream_ids.shape + (count,)``; one Philox sweep
+    covers every stream and every block the draw range touches.
+    """
+    stream_ids = np.asarray(stream_ids, dtype=_U64)
+    first = start // 4
+    counters = np.arange(first + 1, (start + count - 1) // 4 + 2, dtype=_U64)
+    lanes = _philox_block(counters, _U64(seed), stream_ids[..., None])
+    words = np.stack(lanes, axis=-1).reshape(stream_ids.shape + (4 * counters.size,))
+    offset = start - 4 * first
+    return _words_to_normals(words[..., offset:offset + count])
+
+
 @dataclass
 class NoiseStream:
     """A position in the (seed, stream_id)-keyed Gaussian sequence."""
@@ -135,18 +147,6 @@ class NoiseStream:
     seed: int
     stream_id: int
     index: int = field(default=0)
-
-    def _draw_words(self, n: int) -> np.ndarray:
-        idx = np.arange(self.index, self.index + n, dtype=_U64)
-        blocks = idx >> _U64(2)
-        lanes = idx & _U64(3)
-        uniq, inverse = np.unique(blocks, return_inverse=True)
-        with np.errstate(over="ignore"):
-            outs = _philox_block(uniq + _U64(1), _U64(self.seed), _U64(self.stream_id))
-        table = np.stack(outs, axis=-1)  # (n_blocks, 4)
-        words = table[inverse, lanes]
-        self.index += n
-        return words
 
 
 def create_stream(seed: int, stream_id: int) -> NoiseStream:
@@ -160,7 +160,10 @@ def standard_normal_block(stream: NoiseStream, n: int) -> np.ndarray:
     """Next ``n`` i.i.d. standard normal draws; advances the stream by ``n``."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return _words_to_normals(stream._draw_words(int(n)))
+    n = int(n)
+    draws = _stream_normals(stream.seed, stream.stream_id, stream.index, n)
+    stream.index += n
+    return draws
 
 
 class KeyedNoise:
@@ -177,15 +180,7 @@ class KeyedNoise:
         if not (0 <= seed < 2**64):
             raise ValueError("seed must be an unsigned 64-bit integer")
         self.seed = int(seed)
-        self._seed_u64 = _U64(seed)
 
     def block(self, role: str, n: int, step: int, dim: int) -> np.ndarray:
         stream_ids = derive_stream_id(role, np.arange(n, dtype=_U64), step)
-        n_blocks = (dim + 3) // 4
-        counters = np.arange(1, n_blocks + 1, dtype=_U64)
-        with np.errstate(over="ignore"):
-            outs = _philox_block(
-                counters[None, :], self._seed_u64, stream_ids[:, None]
-            )
-        words = np.stack(outs, axis=-1).reshape(n, 4 * n_blocks)
-        return _words_to_normals(words[:, :dim])
+        return _stream_normals(self.seed, stream_ids, 0, dim)

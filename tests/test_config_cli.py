@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -74,7 +75,16 @@ class TestParsing:
         assert cfg.init.cov_scale == pytest.approx(cfg.tau / c.smooth_L)
         assert cfg.checkpoint_every == max(1, 60 // 200)
         assert cfg.init.mean_mode == "warm_start"
-        assert set(cfg.metrics) == {"moments", "kl", "w2", "grad_gap"}
+        assert set(cfg.metrics) == {"kl", "w2", "grad_gap"}
+
+    def test_tau_is_stored_once(self, tmp_path):
+        cfg = parse_config(minimal_config(tmp_path))
+        with pytest.raises(TypeError):
+            dataclasses.replace(cfg, tau=0.25)
+        hotter = dataclasses.replace(
+            cfg, algorithm=dataclasses.replace(cfg.algorithm, tau=0.25)
+        )
+        assert hotter.tau == hotter.algorithm.tau == 0.25
 
     def test_strict_eta_rejection_names_regime(self, tmp_path):
         text = minimal_config(tmp_path, algorithm__strict_eta="true",
@@ -317,6 +327,12 @@ class TestCliCommands:
         assert main(["run", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert key in err and "finite" in err
+
+    def test_moments_metric_is_unknown(self, tmp_path, capsys):
+        cfg_path = tmp_path / "moments.cfg"
+        cfg_path.write_text(minimal_config(tmp_path, metrics="moments,kl"))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "unknown metrics" in capsys.readouterr().err
 
     def test_couple_requires_coupled_section(self, tmp_path):
         cfg_path = tmp_path / "nc.cfg"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,19 @@ from minmax_langevin import (
     KeyedNoise,
     create_stream,
     derive_stream_id,
+    parse_config,
+    run_experiment,
     standard_normal_block,
 )
-from minmax_langevin.rng import _philox_block
+from minmax_langevin.rng import _philox_block, _words_to_normals
+
+
+def numpy_philox_normals(seed, stream_id, n):
+    """The first ``n`` draws of a stream, generated by numpy's Philox."""
+    words = np.random.Philox(
+        key=np.array([seed, int(stream_id)], dtype=np.uint64)
+    ).random_raw(n)
+    return _words_to_normals(words)
 
 
 class TestStreams:
@@ -123,3 +135,71 @@ class TestKeyedNoise:
             KeyedNoise(-1)
         with pytest.raises(ValueError):
             create_stream(2**64, 0)
+
+
+class TestWholeStreamOracle:
+    @pytest.mark.parametrize(
+        "seed,stream_id", [(0, 0), (9, 5), (2**64 - 1, 2**63 + 11)]
+    )
+    def test_any_range_matches_numpy_philox(self, seed, stream_id):
+        reference = numpy_philox_normals(seed, stream_id, 64)
+        for start in range(0, 13):
+            for count in (1, 3, 4, 5, 17, 64 - start):
+                stream = create_stream(seed, stream_id)
+                if start:
+                    standard_normal_block(stream, start)
+                np.testing.assert_array_equal(
+                    standard_normal_block(stream, count),
+                    reference[start:start + count],
+                )
+
+    @pytest.mark.parametrize("n,dim", [(1, 1), (3, 4), (5, 9), (64, 2)])
+    def test_keyed_rows_match_numpy_philox(self, n, dim):
+        block = KeyedNoise(31).block("y", n, 6, dim)
+        for i in range(n):
+            stream_id = derive_stream_id("y", i, 6)
+            np.testing.assert_array_equal(
+                block[i], numpy_philox_normals(31, stream_id, dim)
+            )
+
+
+class TestNoiseSchemeGolden:
+    """Pinned variates of the current ``noise_scheme``.
+
+    A change to the role hash, the splitmix chain, the counter layout or the
+    inverse CDF fails here.  Such a change must update these literals and
+    the manifest's ``noise_scheme`` together.
+    """
+
+    SCHEME = (
+        "philox4x64-10 keyed by (seed, stream_id); "
+        "stream_id = splitmix64 chain over (sha256 role tag, particle, step); "
+        "inverse-CDF gaussians"
+    )
+
+    def test_keyed_block(self):
+        expected = [
+            ["-0x1.476825f84f251p-6", "-0x1.0478ce0e93305p-2", "0x1.26c944f598885p-3"],
+            ["-0x1.b2845ea51af3cp-1", "0x1.e369622a5b99dp-3", "0x1.d205417c79563p-1"],
+        ]
+        block = KeyedNoise(0).block("x", 2, 0, 3)
+        assert [[float(v).hex() for v in row] for row in block] == expected
+
+    def test_scalar_stream(self):
+        expected = [
+            "-0x1.fdbd7eea36500p-2", "-0x1.7767b96f89265p-2", "-0x1.c9acf1ad7699ep+0",
+            "0x1.c5f0908109d49p+0", "-0x1.099944b51bcf8p+1",
+        ]
+        draws = standard_normal_block(create_stream(1, 2), 5)
+        assert [float(v).hex() for v in draws] == expected
+
+    def test_manifest_names_this_scheme(self, tmp_path):
+        config = parse_config(
+            "payoff.kind = QuadraticBilinear\npayoff.dim = 1\n"
+            "payoff.A = [1.0]\npayoff.B = [1.0]\npayoff.C = [0.5]\n"
+            "tau = 1.0\nseed = 1\nalgorithm.eta = 0.005\n"
+            "algorithm.n_particles = 4\nalgorithm.steps = 2\n"
+            f"output.dir = {tmp_path}\n"
+        )
+        manifest = json.loads(run_experiment(config).manifest_path.read_text())
+        assert manifest["noise_scheme"] == self.SCHEME
