@@ -24,7 +24,15 @@ from .dynamics import (
 from .metrics import gaussian_kl, gaussian_relative_fi, gaussian_w2
 from .oracle import GaussianDist, joint_equilibrium
 from .payoff import PayoffSpec, PerturbedQuadratic, QuadraticBilinear, check_gradient_fd
-from .rng import KeyedNoise, create_stream, derive_stream_id, standard_normal_block
+from .rng import (
+    KeyedNoise,
+    _philox_words,
+    _role_code,
+    _words_to_normals,
+    create_stream,
+    derive_stream_id,
+    standard_normal_block,
+)
 
 __all__ = ["CheckResult", "run_all_checks", "default_specs"]
 
@@ -283,7 +291,8 @@ def check_second_moment_stability(seed: int = 0):
 
 
 def check_rng_consistency(seed: int = 123):
-    """Split blocks match one block; keyed block rows match scalar streams."""
+    """Split blocks match one block; keyed rows are addressable alone and
+    a smaller particle block is a prefix of a larger one."""
     s1 = create_stream(seed, 42)
     whole = standard_normal_block(s1, 8)
     s2 = create_stream(seed, 42)
@@ -291,18 +300,21 @@ def check_rng_consistency(seed: int = 123):
         [standard_normal_block(s2, 3), standard_normal_block(s2, 5)]
     )
     ok_split = np.array_equal(whole, halves)
-    keyed = KeyedNoise(seed).block("x", 5, 3, 7)
+    noise = KeyedNoise(seed)
+    keyed = noise.block("x", 5, 3, 7)
     rows_ok = all(
         np.array_equal(
             keyed[i],
-            standard_normal_block(create_stream(seed, derive_stream_id("x", i, 3)), 7),
+            _words_to_normals(_philox_words(seed, _role_code("x"), 3, 7 * i, 7)),
         )
         for i in range(5)
     )
+    prefix_ok = np.array_equal(keyed, noise.block("x", 9, 3, 7)[:5])
     return CheckResult(
         name="rng_stream_consistency",
-        passed=ok_split and rows_ok,
-        detail=f"block split {ok_split}, keyed rows {rows_ok}",
+        passed=ok_split and rows_ok and prefix_ok,
+        detail=f"block split {ok_split}, keyed rows {rows_ok}, "
+        f"particle prefix {prefix_ok}",
     )
 
 

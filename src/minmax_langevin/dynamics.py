@@ -6,8 +6,8 @@ Each step moves every particle along the empirical-mean gradient field
     b_X[i] = -(1/N) sum_j grad_x V(x^i, y^j)
     b_Y[i] = +(1/N) sum_j grad_y V(x^j, y^i)
 
-and adds ``sqrt(2 * tau * eta)``-scaled Gaussian noise drawn from streams
-keyed by (role, particle, step), so trajectories are reproducible and
+and adds ``sqrt(2 * tau * eta)``-scaled Gaussian noise addressed by
+(role, step, particle), so trajectories are reproducible and
 independent of evaluation order and of the total particle count.
 
 Clouds of shape ``(..., N, d)`` stack systems on the leading axes.  The
@@ -224,8 +224,8 @@ def step_algorithm(
 ) -> ParticleState:
     """One discrete update x += eta*b_X + sqrt(2 tau eta)*zeta (same for y).
 
-    Noise for particle i is drawn from the stream keyed by
-    ``(role, i, state.step)``; with tau = 0 no streams are consumed.  A
+    Noise for particle i is row i of the ``(role, state.step)`` block, which
+    no other particle's row depends on; with tau = 0 no noise is drawn.  A
     stacked state shares each step's noise block across its systems.
     """
     params.validate_for(spec)
@@ -310,6 +310,8 @@ def load_snapshot(path) -> ParticleState:
         raise ValueError(
             f"{path}: expected {2 * n} rows of {d} values, got {data.shape}"
         )
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: snapshot values must be finite")
     return ParticleState(xs=data[:n], ys=data[n:], step=step)
 
 

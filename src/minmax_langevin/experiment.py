@@ -23,7 +23,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import ExperimentConfig, InitSpec, serialize_config
+from .config import ConfigError, ExperimentConfig, InitSpec, serialize_config
 from .deterministic import (
     JointPoint,
     duality_gap_bound,
@@ -115,10 +115,14 @@ def initial_state(config: ExperimentConfig, init: InitSpec, noise: KeyedNoise):
     spec = config.payoff
     n, d = config.algorithm.n_particles, spec.dim
     if init.kind == "snapshot":
-        state = load_snapshot(init.snapshot)
+        key = "coupled.snapshot" if init is config.coupled else "init.snapshot"
+        try:
+            state = load_snapshot(init.snapshot)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{key}: cannot load snapshot: {exc}") from exc
         if state.xs.shape != (n, d):
-            raise ValueError(
-                f"snapshot shape {state.xs.shape} does not match run ({n}, {d})"
+            raise ConfigError(
+                f"{key}: snapshot shape {state.xs.shape} does not match run ({n}, {d})"
             )
         return ParticleState(xs=state.xs, ys=state.ys, step=0), None
     mean = _resolve_mean(config, init)
@@ -161,7 +165,11 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
     d = spec.dim
     n = config.algorithm.n_particles
     out = Path(output_dir if output_dir is not None else config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        key = "output.dir" if output_dir is None else "--output-dir"
+        raise ConfigError(f"{key}: cannot create {out}: {exc}") from exc
 
     noise = KeyedNoise(config.seed)
     init_state_a, init_law = initial_state(config, config.init, noise)
@@ -269,9 +277,9 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
             constants.alpha, constants.smooth_L, config.algorithm.eta
         ),
         "coupling_enabled": coupled,
-        "noise_scheme": "philox4x64-10 keyed by (seed, stream_id); "
-        "stream_id = splitmix64 chain over (sha256 role tag, particle, step); "
-        "inverse-CDF gaussians",
+        "noise_scheme": "v2: numpy philox4x64-10; particle block row i = "
+        "words i*d..i*d+d-1 at key (seed, sha256 role code), counter word 1 = "
+        "step; u = ((w >> 12) + 0.5) * 2**-52; inverse-CDF gaussians",
         "drift_scheme": "mean-field: b_X[i] = -grad_x V(x^i, mean_j y^j), "
         "b_Y[i] = grad_y V(mean_j x^j, y^i); particle means by numpy mean "
         "over the particle axis",

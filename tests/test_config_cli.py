@@ -334,6 +334,50 @@ class TestCliCommands:
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "unknown metrics" in capsys.readouterr().err
 
+    def test_missing_snapshot_is_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "nosnap.cfg"
+        cfg_path.write_text(minimal_config(
+            tmp_path, init__kind="snapshot", init__snapshot=tmp_path / "absent.csv"
+        ))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "init.snapshot" in capsys.readouterr().err
+
+    def test_output_dir_under_a_file_is_config_error(self, tmp_path, capsys):
+        blocker = tmp_path / "regular_file"
+        blocker.write_text("not a directory\n")
+        cfg_path = tmp_path / "outdir.cfg"
+        cfg_path.write_text(config_with(tmp_path, {"output.dir": blocker / "run"}))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "output.dir" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", [
+        "8,1\n" + "0.0\n" * 16,
+        "8,1,zero\n" + "0.0\n" * 16,
+        "8,1,0\n" + "0.0\n" * 15 + "abc\n",
+        "8,1,0\n" + "0.0\n" * 15,
+        "8,1,0\n" + "0.0\n" * 15 + "nan\n",
+        "4,1,0\n" + "0.0\n" * 8,
+    ], ids=["short-header", "bad-step", "non-numeric", "missing-row",
+            "nonfinite", "wrong-particle-count"])
+    def test_malformed_snapshot_is_config_error(self, tmp_path, capsys, body):
+        snap = tmp_path / "bad_snapshot.csv"
+        snap.write_text(body)
+        cfg_path = tmp_path / "badsnap.cfg"
+        cfg_path.write_text(minimal_config(
+            tmp_path, init__kind="snapshot", init__snapshot=snap
+        ))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "init.snapshot" in capsys.readouterr().err
+
+    def test_coupled_snapshot_error_names_coupled_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "coupledsnap.cfg"
+        cfg_path.write_text(minimal_config(
+            tmp_path, coupled__kind="snapshot",
+            coupled__snapshot=tmp_path / "absent.csv",
+        ))
+        assert main(["couple", "--config", str(cfg_path)]) == 2
+        assert "coupled.snapshot" in capsys.readouterr().err
+
     def test_couple_requires_coupled_section(self, tmp_path):
         cfg_path = tmp_path / "nc.cfg"
         cfg_path.write_text(minimal_config(tmp_path))
