@@ -17,9 +17,15 @@ from .checks import (
     default_specs,
     run_all_checks,
 )
-from .config import ConfigError, parse_config
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    InitSpec,
+    parse_config,
+    serialize_config,
+)
 from .deterministic import solve_equilibrium
-from .dynamics import DivergenceError, contraction_factor
+from .dynamics import AlgorithmParams, DivergenceError, contraction_factor
 from .experiment import run_experiment
 from .oracle import plan_parameters, quadratic_equilibrium
 from .payoff import QuadraticBilinear
@@ -40,40 +46,25 @@ def _load_config(path: str):
     return parse_config(text)
 
 
-def _plan_config_text(alpha, smooth_l, tau, dim, plan, seed) -> str:
+def _plan_config(args, plan) -> ExperimentConfig:
     """A complete, runnable config whose payoff realizes (alpha, L) exactly.
 
     A = B = alpha*I with C = sqrt(L^2 - alpha^2)*I gives a joint Hessian of
     operator norm exactly L while keeping the convexity modulus alpha.
     """
-    c_scale = float(np.sqrt(max(smooth_l**2 - alpha**2, 0.0)))
-    a_flat = (alpha * np.eye(dim)).ravel()
-    c_flat = (c_scale * np.eye(dim)).ravel()
-    zeros = np.zeros(dim)
-
-    def fmt(arr):
-        return "[" + ", ".join(repr(float(v)) for v in np.asarray(arr).ravel()) + "]"
-
-    lines = [
-        "# canonical payoff realizing the planned (alpha, L)",
-        "payoff.kind = QuadraticBilinear",
-        f"payoff.dim = {dim}",
-        f"payoff.A = {fmt(a_flat)}",
-        f"payoff.B = {fmt(a_flat)}",
-        f"payoff.C = {fmt(c_flat)}",
-        f"payoff.u = {fmt(zeros)}",
-        f"payoff.v = {fmt(zeros)}",
-        f"tau = {tau!r}",
-        f"seed = {seed}",
-        f"algorithm.eta = {plan.eta!r}",
-        f"algorithm.n_particles = {plan.n_particles}",
-        f"algorithm.steps = {plan.iters}",
-        "algorithm.strict_eta = true",
-        "init.mean_mode = warm_start",
-        f"init.cov_scale = {plan.init_cov_scale!r}",
-        "output.dir = runs/plan",
-    ]
-    return "\n".join(lines) + "\n"
+    eye = np.eye(args.dim)
+    c_scale = float(np.sqrt(max(args.smooth_l**2 - args.alpha**2, 0.0)))
+    spec = QuadraticBilinear(
+        dim=args.dim, A=args.alpha * eye, B=args.alpha * eye, C=c_scale * eye
+    )
+    algorithm = AlgorithmParams(
+        eta=plan.eta, tau=args.tau, n_particles=plan.n_particles,
+        steps=plan.iters, strict_eta=True,
+    )
+    return ExperimentConfig(
+        payoff=spec, algorithm=algorithm, seed=args.seed,
+        init=InitSpec(cov_scale=plan.init_cov_scale), output_dir="runs/plan",
+    )
 
 
 def _cmd_plan(args) -> int:
@@ -82,6 +73,7 @@ def _cmd_plan(args) -> int:
             args.alpha, args.smooth_l, args.tau, args.dim, args.eps,
             args.z_star_norm_sq,
         )
+        text = serialize_config(_plan_config(args, plan))
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -91,9 +83,6 @@ def _cmd_plan(args) -> int:
     print(f"gd_eta         = {plan.gd_eta:.17g}")
     print(f"gd_iters       = {plan.gd_iters}")
     print(f"init_cov_scale = {plan.init_cov_scale:.17g}")
-    text = _plan_config_text(
-        args.alpha, args.smooth_l, args.tau, args.dim, plan, args.seed
-    )
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote config fragment to {args.out}")

@@ -15,16 +15,19 @@ Example::
     init.mean_mode = warm_start
     output.dir = runs/demo
 
-Matrices are row-major bracketed lists; booleans are ``true``/``false``;
-``#`` starts a comment.  Numbers must be finite (``inf`` and ``nan`` are
-rejected).  Unknown keys are rejected, and every invariant is checked at
-parse time with a field-level message.
+Every key has one type, and its text is read as that type alone: integers,
+finite numbers (``inf`` and ``nan`` are rejected), ``true``/``false``,
+row-major bracketed lists of numbers, or plain text.  ``#`` always starts a
+comment, also inside a value, so ``output.dir = runs/#3`` means ``runs/``.
+An absent optional key takes the default of its dataclass field.  Unknown
+keys are rejected, and every invariant is checked at parse time with a
+field-level message.  ``serialize_config`` is the one emitter of the format.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -37,12 +40,7 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "serialize_config",
-    "KNOWN_METRICS",
 ]
-
-KNOWN_METRICS = ("kl", "w2", "grad_gap")
-
-_INIT_FIELDS = {"kind", "mean_mode", "mean", "cov_scale", "snapshot"}
 
 
 class ConfigError(ValueError):
@@ -56,7 +54,7 @@ class InitSpec:
     kind: str = "gaussian"              # gaussian | snapshot
     mean_mode: str = "warm_start"       # zero | warm_start | explicit
     mean: tuple = ()                    # joint 2d-vector for mean_mode=explicit
-    cov_scale: float | None = None      # default tau / L
+    cov_scale: float | None = None      # None: tau / L, set by ExperimentConfig
     snapshot: str = ""                  # path for kind=snapshot
 
     def __post_init__(self):
@@ -81,8 +79,7 @@ class ExperimentConfig:
     payoff: PayoffSpec
     algorithm: AlgorithmParams
     seed: int
-    checkpoint_every: int
-    metrics: tuple = KNOWN_METRICS
+    checkpoint_every: int | None = None  # None: max(1, steps // 200)
     init: InitSpec = field(default_factory=InitSpec)
     coupled: InitSpec | None = None
     output_dir: str = "runs"
@@ -96,46 +93,71 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.seed < 0 or self.seed >= 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
+        if self.checkpoint_every is None:
+            every = max(1, self.algorithm.steps // 200)
+            object.__setattr__(self, "checkpoint_every", every)
         if self.checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be at least 1")
         if self.snapshots not in ("none", "final", "all"):
             raise ConfigError("output.snapshots must be none, final or all")
-        unknown = set(self.metrics) - set(KNOWN_METRICS)
-        if unknown:
-            raise ConfigError(f"unknown metrics: {sorted(unknown)}")
+        object.__setattr__(self, "init", self._resolved(self.init, "init"))
+        if self.coupled is not None:
+            object.__setattr__(self, "coupled", self._resolved(self.coupled, "coupled"))
+
+    def _resolved(self, init: InitSpec, prefix: str) -> InitSpec:
+        """``init`` checked against the payoff, with cov_scale defaulted to tau / L."""
+        if init.mean and len(init.mean) != 2 * self.payoff.dim:
+            raise ConfigError(f"{prefix}.mean must list {2 * self.payoff.dim} numbers")
+        if init.kind != "gaussian" or init.cov_scale is not None:
+            return init
+        cov_scale = self.tau / self.payoff.constants().smooth_L
+        if not cov_scale > 0.0:
+            raise ConfigError(
+                f"{prefix}.cov_scale: the default tau/L is not positive for "
+                f"tau={self.tau}; set {prefix}.cov_scale explicitly"
+            )
+        return replace(init, cov_scale=cov_scale)
 
 
-def _finite(key: str, raw: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: numbers must be finite, got {raw!r}")
-    return value
+def _list(raw: str) -> tuple:
+    if not (raw.startswith("[") and raw.endswith("]")):
+        raise ValueError(raw)
+    inner = raw[1:-1].strip()
+    return tuple(float(tok) for tok in inner.split(",")) if inner else ()
 
 
-def _parse_scalar(key: str, raw: str):
-    raw = raw.strip()
-    if raw.startswith("[") and raw.endswith("]"):
-        inner = raw[1:-1].strip()
-        if not inner:
-            return ()
-        try:
-            values = tuple(float(tok) for tok in inner.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: malformed bracketed list {raw!r}") from exc
-        return tuple(_finite(key, raw, v) for v in values)
-    if raw in ("true", "false"):
-        return raw == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        value = float(raw)
-    except ValueError:
-        return raw
-    return _finite(key, raw, value)
+# type -> (reader of a value's text, how an error message names the type)
+_READERS = {
+    str: (str, "text"),
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    bool: ({"true": True, "false": False}.__getitem__, "true or false"),
+    tuple: (_list, "a bracketed list of numbers"),
+}
+
+# InitSpec field -> type; the keys are ``init.<field>`` and ``coupled.<field>``.
+_INIT_TYPES = {
+    "kind": str, "mean_mode": str, "mean": tuple, "cov_scale": float, "snapshot": str,
+}
+
+# dataclass field -> (key, type)
+_ALGORITHM_KEYS = {
+    "tau": ("tau", float),
+    "eta": ("algorithm.eta", float),
+    "n_particles": ("algorithm.n_particles", int),
+    "steps": ("algorithm.steps", int),
+    "strict_eta": ("algorithm.strict_eta", bool),
+}
+_EXPERIMENT_KEYS = {
+    "seed": ("seed", int),
+    "checkpoint_every": ("checkpoint_every", int),
+    "output_dir": ("output.dir", str),
+    "snapshots": ("output.snapshots", str),
+}
 
 
 def _tokenize(text: str) -> dict:
+    """Map each key to the stripped text of its value."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -147,35 +169,47 @@ def _tokenize(text: str) -> dict:
         key = key.strip()
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_scalar(key, raw)
+        values[key] = raw.strip()
     return values
 
 
-def _take(values: dict, key: str, typ, default=None, required=False):
+def _take(values: dict, key: str, typ, required=False):
+    """Pop ``key`` and read its text as ``typ``; None if an optional key is absent."""
     if key not in values:
         if required:
             raise ConfigError(f"missing required key {key!r}")
-        return default
-    val = values.pop(key)
-    if typ is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
-    if typ is not None and not isinstance(val, typ):
-        raise ConfigError(f"{key}: expected {typ.__name__}, got {val!r}")
-    return val
+        return None
+    raw = values.pop(key)
+    read, name = _READERS[typ]
+    try:
+        value = read(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{key}: expected {name}, got {raw!r}") from None
+    numbers = value if typ is tuple else (value,) if typ is float else ()
+    if not all(math.isfinite(v) for v in numbers):
+        raise ConfigError(f"{key}: numbers must be finite, got {raw!r}")
+    return value
 
 
-def _matrix(key: str, raw, dim: int) -> np.ndarray:
-    if raw is None:
-        raise ConfigError(f"missing required key {key!r}")
-    if not isinstance(raw, tuple) or len(raw) != dim * dim:
+def _fields(values: dict, keys: dict, required=()) -> dict:
+    """The present keys of ``keys`` (field -> (key, type)), read and named by field."""
+    taken = {name: _take(values, key, typ, required=name in required)
+             for name, (key, typ) in keys.items()}
+    return {name: value for name, value in taken.items() if value is not None}
+
+
+def _matrix(values: dict, key: str, dim: int) -> np.ndarray:
+    raw = _take(values, key, tuple, required=True)
+    if len(raw) != dim * dim:
         raise ConfigError(f"{key}: expected a row-major list of {dim * dim} numbers")
     return np.array(raw, dtype=float).reshape(dim, dim)
 
 
-def _vector(key: str, raw, dim: int):
+def _vector(values: dict, key: str, dim: int):
+    raw = _take(values, key, tuple)
     if raw is None:
         return None
-    if not isinstance(raw, tuple) or len(raw) != dim:
+    if len(raw) != dim:
         raise ConfigError(f"{key}: expected a list of {dim} numbers")
     return np.array(raw, dtype=float)
 
@@ -185,11 +219,11 @@ def _parse_payoff(values: dict) -> PayoffSpec:
     dim = _take(values, "payoff.dim", int, required=True)
     if dim < 1:
         raise ConfigError("payoff.dim must be a positive integer")
-    a = _matrix("payoff.A", values.pop("payoff.A", None), dim)
-    b = _matrix("payoff.B", values.pop("payoff.B", None), dim)
-    c = _matrix("payoff.C", values.pop("payoff.C", None), dim)
-    u = _vector("payoff.u", values.pop("payoff.u", None), dim)
-    v = _vector("payoff.v", values.pop("payoff.v", None), dim)
+    a = _matrix(values, "payoff.A", dim)
+    b = _matrix(values, "payoff.B", dim)
+    c = _matrix(values, "payoff.C", dim)
+    u = _vector(values, "payoff.u", dim)
+    v = _vector(values, "payoff.v", dim)
     try:
         base = QuadraticBilinear(dim=dim, A=a, B=b, C=c, u=u, v=v)
         if kind == "QuadraticBilinear":
@@ -210,38 +244,13 @@ def _parse_payoff(values: dict) -> PayoffSpec:
                       f"got {kind!r}")
 
 
-def _parse_init(values: dict, prefix: str, tau: float, spec) -> InitSpec | None:
-    picked = {k: values.pop(k) for k in list(values) if k.startswith(prefix + ".")}
-    if not picked and prefix == "coupled":
+def _parse_init(values: dict, prefix: str) -> InitSpec | None:
+    keys = {name: (f"{prefix}.{name}", typ) for name, typ in _INIT_TYPES.items()}
+    fields = _fields(values, keys)
+    if not fields and prefix == "coupled":
         return None
-    fields = {}
-    for key, val in picked.items():
-        name = key[len(prefix) + 1 :]
-        if name not in _INIT_FIELDS:
-            raise ConfigError(f"unknown key {key!r}")
-        fields[name] = val
-    kind = fields.pop("kind", "gaussian")
-    mean_mode = fields.pop("mean_mode", "warm_start")
-    mean = fields.pop("mean", ())
-    cov_scale = fields.pop("cov_scale", None)
-    snapshot = fields.pop("snapshot", "")
-    if cov_scale is not None:
-        cov_scale = float(cov_scale)
-    elif kind == "gaussian":
-        c = spec.constants()
-        cov_scale = tau / c.smooth_L
-        if cov_scale <= 0.0:
-            raise ConfigError(
-                f"{prefix}.cov_scale: the default tau/L is not positive for "
-                f"tau={tau}; set {prefix}.cov_scale explicitly"
-            )
-    if isinstance(mean, tuple) and mean and len(mean) != 2 * spec.dim:
-        raise ConfigError(f"{prefix}.mean must list {2 * spec.dim} numbers")
     try:
-        return InitSpec(
-            kind=kind, mean_mode=mean_mode, mean=tuple(float(m) for m in mean),
-            cov_scale=cov_scale, snapshot=str(snapshot),
-        )
+        return InitSpec(**fields)
     except ConfigError as exc:
         raise ConfigError(str(exc).replace("init.", prefix + ".")) from exc
 
@@ -250,43 +259,20 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config document; unknown keys are errors."""
     values = _tokenize(text)
     spec = _parse_payoff(values)
-    tau = _take(values, "tau", float, required=True)
-    if tau < 0.0:
-        raise ConfigError("tau must be nonnegative")
-    seed = _take(values, "seed", int, required=True)
-    eta = _take(values, "algorithm.eta", float, required=True)
-    n_particles = _take(values, "algorithm.n_particles", int, required=True)
-    steps = _take(values, "algorithm.steps", int, required=True)
-    strict_eta = _take(values, "algorithm.strict_eta", bool, default=False)
-    checkpoint_every = _take(
-        values, "checkpoint_every", int, default=max(1, steps // 200)
-    )
-    metrics_raw = _take(values, "metrics", str, default=",".join(KNOWN_METRICS))
-    metrics = tuple(m.strip() for m in metrics_raw.split(",") if m.strip())
-    init = _parse_init(values, "init", tau, spec)
-    coupled = _parse_init(values, "coupled", tau, spec)
-    output_dir = _take(values, "output.dir", str, default="runs")
-    snapshots = _take(values, "output.snapshots", str, default="none")
+    algorithm = _fields(values, _ALGORITHM_KEYS,
+                        required=("tau", "eta", "n_particles", "steps"))
+    experiment = _fields(values, _EXPERIMENT_KEYS, required=("seed",))
+    init = _parse_init(values, "init")
+    coupled = _parse_init(values, "coupled")
     if values:
         raise ConfigError(f"unknown keys: {sorted(values)}")
     try:
-        algorithm = AlgorithmParams(
-            eta=eta, tau=tau, n_particles=n_particles, steps=steps,
-            strict_eta=strict_eta,
-        )
-        algorithm.validate_for(spec)
+        params = AlgorithmParams(**algorithm)
+        params.validate_for(spec)
     except ValueError as exc:
         raise ConfigError(f"algorithm: {exc}") from exc
-    try:
-        return ExperimentConfig(
-            payoff=spec, algorithm=algorithm, seed=seed,
-            checkpoint_every=checkpoint_every, metrics=metrics, init=init,
-            coupled=coupled, output_dir=output_dir, snapshots=snapshots,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(payoff=spec, algorithm=params, init=init,
+                            coupled=coupled, **experiment)
 
 
 def _fmt(value) -> str:
@@ -320,7 +306,6 @@ def serialize_config(config: ExperimentConfig) -> str:
         f"tau = {_fmt(config.tau)}",
         f"seed = {config.seed}",
         f"checkpoint_every = {config.checkpoint_every}",
-        f"metrics = {','.join(config.metrics)}",
         f"algorithm.eta = {_fmt(config.algorithm.eta)}",
         f"algorithm.n_particles = {config.algorithm.n_particles}",
         f"algorithm.steps = {config.algorithm.steps}",
@@ -329,14 +314,10 @@ def serialize_config(config: ExperimentConfig) -> str:
     for prefix, init in (("init", config.init), ("coupled", config.coupled)):
         if init is None:
             continue
-        lines.append(f"{prefix}.kind = {init.kind}")
-        if init.kind == "gaussian":
-            lines.append(f"{prefix}.mean_mode = {init.mean_mode}")
-            if init.mean:
-                lines.append(f"{prefix}.mean = {_fmt(init.mean)}")
-            lines.append(f"{prefix}.cov_scale = {_fmt(init.cov_scale)}")
-        else:
-            lines.append(f"{prefix}.snapshot = {init.snapshot}")
+        for name in _INIT_TYPES:
+            value = getattr(init, name)
+            if value not in (None, "", ()):  # an unset optional field
+                lines.append(f"{prefix}.{name} = {_fmt(value)}")
     lines.append(f"output.dir = {config.output_dir}")
     lines.append(f"output.snapshots = {config.snapshots}")
     return "\n".join(lines) + "\n"

@@ -55,12 +55,6 @@ class JointPoint:
         """Concatenated (x, y) in R^{2d}."""
         return np.concatenate([self.x, self.y])
 
-    @classmethod
-    def from_vector(cls, z: np.ndarray) -> "JointPoint":
-        z = np.asarray(z, dtype=float)
-        d = z.size // 2
-        return cls(x=z[:d], y=z[d:])
-
 
 def grad_norm(spec: PayoffSpec, z: JointPoint) -> float:
     """|grad V(z)| over both players."""

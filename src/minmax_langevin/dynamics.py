@@ -29,6 +29,7 @@ fixed numpy reduction over the particle axis) never varies between runs.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,7 +306,10 @@ def load_snapshot(path) -> ParticleState:
         if len(header) != 3:
             raise ValueError(f"{path}: malformed snapshot header")
         n, d, step = (int(v) for v in header)
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # An empty body is reported by the shape check below.
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape != (2 * n, d):
         raise ValueError(
             f"{path}: expected {2 * n} rows of {d} values, got {data.shape}"

@@ -206,8 +206,6 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
         init_state_b, _ = initial_state(config, config.coupled, noise)
         init = ParticleState.stacked(init_state_a, init_state_b)
 
-    enabled = set(config.metrics)
-
     def record(step: int, pair: ParticleState) -> MetricsRecord:
         state = pair.system(0) if coupled else pair
         if config.snapshots == "all":
@@ -222,15 +220,9 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
         cov_trace = float(np.trace(fit.cov)) if fit is not None else 0.0
         kl = w2 = None
         if reference is not None and fit is not None and not degenerate:
-            if "kl" in enabled:
-                kl = gaussian_kl(fit, reference)
-            if "w2" in enabled:
-                w2 = gaussian_w2(fit, reference)
-        gap = None
-        if "grad_gap" in enabled:
-            gap = duality_gap_bound(
-                spec, JointPoint(x=avg_mean[:d], y=avg_mean[d:])
-            )
+            kl = gaussian_kl(fit, reference)
+            w2 = gaussian_w2(fit, reference)
+        gap = duality_gap_bound(spec, JointPoint(x=avg_mean[:d], y=avg_mean[d:]))
         return MetricsRecord(
             step=step,
             wall_time=time.perf_counter() - t_start,

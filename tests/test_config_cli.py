@@ -68,6 +68,21 @@ NONFINITE_FIELDS = [
 ]
 
 
+# (key, value of the wrong type, other keys that make the key meaningful)
+MISTYPED_FIELDS = [
+    ("init.mean", "5", {"init.mean_mode": "explicit"}),
+    ("init.mean", "abc", {"init.mean_mode": "explicit"}),
+    ("init.cov_scale", "abc", {}),
+    ("init.cov_scale", "[1.0]", {}),
+    ("init.cov_scale", "true", {}),
+    ("coupled.mean", "0.5", {"coupled.mean_mode": "explicit"}),
+    ("payoff.dim", "true", {}),
+    ("algorithm.n_particles", "true", {}),
+    ("algorithm.steps", "true", {}),
+    ("seed", "true", {}),
+]
+
+
 class TestParsing:
     def test_defaults_applied(self, tmp_path):
         cfg = parse_config(minimal_config(tmp_path))
@@ -75,7 +90,6 @@ class TestParsing:
         assert cfg.init.cov_scale == pytest.approx(cfg.tau / c.smooth_L)
         assert cfg.checkpoint_every == max(1, 60 // 200)
         assert cfg.init.mean_mode == "warm_start"
-        assert set(cfg.metrics) == {"kl", "w2", "grad_gap"}
 
     def test_tau_is_stored_once(self, tmp_path):
         cfg = parse_config(minimal_config(tmp_path))
@@ -110,6 +124,13 @@ class TestParsing:
         cfg = parse_config(text)
         assert parse_config(serialize_config(cfg)) == cfg
 
+    def test_snapshot_init_round_trip(self, tmp_path):
+        text = minimal_config(tmp_path, init__kind="snapshot",
+                              init__snapshot="init.csv", init__cov_scale="0.5",
+                              coupled__kind="snapshot", coupled__snapshot="b.csv")
+        cfg = parse_config(text)
+        assert parse_config(serialize_config(cfg)) == cfg
+
     def test_perturbed_round_trip(self, tmp_path):
         text = minimal_config(tmp_path, payoff__amplitude="0.1",
                               payoff__frequency="2.0")
@@ -117,6 +138,10 @@ class TestParsing:
                             "payoff.kind = PerturbedQuadratic")
         cfg = parse_config(text)
         assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_hash_in_a_value_starts_a_comment(self, tmp_path):
+        cfg = parse_config(config_with(tmp_path, {"output.dir": "runs/#3"}))
+        assert cfg.output_dir == "runs/"
 
     def test_zero_tau_requires_explicit_cov_scale(self, tmp_path):
         text = minimal_config(tmp_path).replace("tau = 1.0", "tau = 0.0")
@@ -212,6 +237,14 @@ class TestCliCommands:
         assert cfg.algorithm.n_particles == 2700
         text = capsys.readouterr().out
         assert "662291" in text
+
+    def test_plan_fragment_is_serialized_config(self, tmp_path):
+        out = tmp_path / "plan.cfg"
+        assert main(["plan", "--alpha", "0.5", "--smooth-l", "1.25", "--tau",
+                     "0.3", "--dim", "2", "--eps", "0.05", "--seed", "3",
+                     "--out", str(out)]) == 0
+        fragment = out.read_text()
+        assert fragment == serialize_config(parse_config(fragment))
 
     def test_plan_realizes_requested_constants(self, tmp_path):
         out = tmp_path / "plan.cfg"
@@ -328,11 +361,21 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert key in err and "finite" in err
 
+    @pytest.mark.parametrize("key,value,context", MISTYPED_FIELDS,
+                             ids=[f"{f[0]}={f[1]}" for f in MISTYPED_FIELDS])
+    def test_mistyped_value_is_config_error(self, tmp_path, capsys, key, value,
+                                            context):
+        cfg_path = tmp_path / "mistyped.cfg"
+        cfg_path.write_text(config_with(tmp_path, {**context, key: value}))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+
     def test_moments_metric_is_unknown(self, tmp_path, capsys):
         cfg_path = tmp_path / "moments.cfg"
         cfg_path.write_text(minimal_config(tmp_path, metrics="moments,kl"))
         assert main(["run", "--config", str(cfg_path)]) == 2
-        assert "unknown metrics" in capsys.readouterr().err
+        assert "unknown keys" in capsys.readouterr().err
 
     def test_missing_snapshot_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "nosnap.cfg"
@@ -357,8 +400,9 @@ class TestCliCommands:
         "8,1,0\n" + "0.0\n" * 15,
         "8,1,0\n" + "0.0\n" * 15 + "nan\n",
         "4,1,0\n" + "0.0\n" * 8,
+        "8,1,0\n",
     ], ids=["short-header", "bad-step", "non-numeric", "missing-row",
-            "nonfinite", "wrong-particle-count"])
+            "nonfinite", "wrong-particle-count", "header-only"])
     def test_malformed_snapshot_is_config_error(self, tmp_path, capsys, body):
         snap = tmp_path / "bad_snapshot.csv"
         snap.write_text(body)
