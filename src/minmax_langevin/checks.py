@@ -5,6 +5,10 @@ always probes the same points.  The suites back the ``check`` command and
 are reused by the test suite; every bound carries a small float slack since
 several inequalities are tight (e.g. monotonicity of a decoupled isotropic
 quadratic binds with equality).
+
+The three pair inequalities of the drift b_Z (strong monotonicity, 2L
+Lipschitz, contraction of z + eta b_Z(z)) share one probe sweep,
+:func:`_worst_over_pairs`, and supply only their per-pair statistic.
 """
 
 from __future__ import annotations
@@ -24,15 +28,8 @@ from .dynamics import (
 from .metrics import gaussian_kl, gaussian_relative_fi, gaussian_w2
 from .oracle import GaussianDist, joint_equilibrium
 from .payoff import PayoffSpec, PerturbedQuadratic, QuadraticBilinear, check_gradient_fd
-from .rng import (
-    KeyedNoise,
-    _philox_words,
-    _role_code,
-    _words_to_normals,
-    create_stream,
-    derive_stream_id,
-    standard_normal_block,
-)
+from .rng import (KeyedNoise, _philox_words, _role_code, _words_to_normals,
+                  create_stream, derive_stream_id, standard_normal_block)
 
 __all__ = ["CheckResult", "run_all_checks", "default_specs"]
 
@@ -58,35 +55,45 @@ def _stream(seed: int, tag: str):
     return create_stream(seed, derive_stream_id(tag, 0, 0))
 
 
-def _random_states(stream, count: int, n: int, d: int, scale: float = 2.0):
-    for _ in range(count):
-        vec = scale * standard_normal_block(stream, 2 * n * d)
-        yield ParticleState.from_joint_vector(vec, n, d)
+# Probe pairs per drawn-and-drifted chunk.  The chunk bounds memory, not
+# time: drawing all 10,000 contraction pairs in one batch raises the peak RSS
+# of ``check --seed 8`` from 62.9 to 76.0 MB (+21%, on a 2-vCPU x86-64 Linux
+# host).
+_PROBE_CHUNK = 2000
 
 
-def _random_pair_batch(stream, pairs: int, n: int, d: int, scale: float = 2.0):
-    """(z, z') probe pairs as two (pairs, 2nd) matrices, drawn in one block."""
-    flat = scale * standard_normal_block(stream, 2 * pairs * 2 * n * d)
-    z = flat.reshape(2 * pairs, 2 * n * d)
-    return z[:pairs], z[pairs:]
+def _worst_over_pairs(spec, tag: str, seed: int, pairs: int, n: int, statistic):
+    """Max over random pairs of ``statistic(z1, z2, b1, b2)``, one value per row.
 
-
-def _pairwise_drift_stats(spec, stream, pairs: int, n: int, chunk: int = 2000):
-    """Yield (z1, z2, b1, b2) batches for random probe pairs, memory-chunked.
-
-    The chunking bounds memory, not time: drawing all 10,000 contraction
-    pairs in one batch raises the peak RSS of ``check --seed 8`` from 62.9
-    to 76.0 MB (+21%, on a 2-vCPU x86-64 Linux host).
+    Each chunk of m pairs is one ``tag`` stream block, scaled by 2, of 2m
+    joint vectors in R^{2nd}: z1 then z2, with b1, b2 the drift b_Z at them.
     """
+    stream = _stream(seed, tag)
     d = spec.dim
-    remaining = pairs
-    while remaining > 0:
-        m = min(chunk, remaining)
-        z1, z2 = _random_pair_batch(stream, m, n, d)
+    width = 2 * n * d
+    worst = -np.inf
+    for start in range(0, pairs, _PROBE_CHUNK):
+        m = min(_PROBE_CHUNK, pairs - start)
+        z = 2.0 * standard_normal_block(stream, 2 * m * width).reshape(2 * m, width)
+        z1, z2 = z[:m], z[m:]
         b1 = batched_joint_drift(spec, z1, n, d)
         b2 = batched_joint_drift(spec, z2, n, d)
-        yield z1, z2, b1, b2
-        remaining -= m
+        worst = max(worst, float(np.max(statistic(z1, z2, b1, b2))))
+    return worst
+
+
+def _stretch(dv, z1, z2):
+    """Row-wise |dv| / |z1 - z2|."""
+    return np.linalg.norm(dv, axis=1) / np.maximum(
+        np.linalg.norm(z1 - z2, axis=1), 1e-300
+    )
+
+
+def _random_gaussian(stream, dim: int, ridge: float) -> GaussianDist:
+    """N(m, R R'/dim + ridge I) with m and R drawn standard normal."""
+    mean = standard_normal_block(stream, dim)
+    raw = standard_normal_block(stream, dim * dim).reshape(dim, dim)
+    return GaussianDist(mean=mean, cov=raw @ raw.T / dim + ridge * np.eye(dim))
 
 
 def check_gradients(spec: PayoffSpec, tol: float, seed: int = 0, points: int = 100):
@@ -103,17 +110,17 @@ def check_gradients(spec: PayoffSpec, tol: float, seed: int = 0, points: int = 1
     )
 
 
-def check_monotonicity(spec: PayoffSpec, seed: int = 0, pairs: int = 1000,
-                       n: int = 4):
+def check_monotonicity(spec: PayoffSpec, seed: int = 0, pairs: int = 1000, n: int = 4):
     """<b_Z(z) - b_Z(z'), z - z'> <= -alpha |z - z'|^2 on random pairs."""
-    c = spec.constants()
-    stream = _stream(seed, "monotone")
-    worst = -np.inf
-    for z1, z2, b1, b2 in _pairwise_drift_stats(spec, stream, pairs, n):
+    alpha = spec.constants().alpha
+
+    def violation(z1, z2, b1, b2):
         dz, db = z1 - z2, b1 - b2
         dist_sq = np.sum(dz * dz, axis=1)
-        margin = np.sum(db * dz, axis=1) + c.alpha * dist_sq  # must be <= 0
-        worst = max(worst, float(np.max(margin / np.maximum(dist_sq, 1e-300))))
+        margin = np.sum(db * dz, axis=1) + alpha * dist_sq  # must be <= 0
+        return margin / np.maximum(dist_sq, 1e-300)
+
+    worst = _worst_over_pairs(spec, "monotone", seed, pairs, n, violation)
     return CheckResult(
         name=f"strong_monotonicity[{type(spec).__name__}]",
         passed=worst <= _REL_SLACK,
@@ -123,15 +130,11 @@ def check_monotonicity(spec: PayoffSpec, seed: int = 0, pairs: int = 1000,
 
 def check_lipschitz(spec: PayoffSpec, seed: int = 0, pairs: int = 1000, n: int = 4):
     """|b_Z(z) - b_Z(z')| <= 2 L |z - z'| on random pairs."""
-    c = spec.constants()
-    stream = _stream(seed, "lipschitz")
-    worst = 0.0
-    for z1, z2, b1, b2 in _pairwise_drift_stats(spec, stream, pairs, n):
-        ratios = np.linalg.norm(b1 - b2, axis=1) / np.maximum(
-            np.linalg.norm(z1 - z2, axis=1), 1e-300
-        )
-        worst = max(worst, float(np.max(ratios)))
-    bound = 2.0 * c.smooth_L
+    worst = _worst_over_pairs(
+        spec, "lipschitz", seed, pairs, n,
+        lambda z1, z2, b1, b2: _stretch(b1 - b2, z1, z2),
+    )
+    bound = 2.0 * spec.constants().smooth_L
     return CheckResult(
         name=f"drift_lipschitz[{type(spec).__name__}]",
         passed=worst <= bound * (1.0 + _REL_SLACK),
@@ -143,16 +146,12 @@ def check_contraction(spec: PayoffSpec, seed: int = 0, pairs: int = 10_000,
                       n: int = 8, slack: float = 1e-10):
     """|G(z) - G(z')| <= M |z - z'| at eta = alpha / (64 L^2)."""
     c = spec.constants()
-    eta = c.alpha / (64.0 * c.smooth_L**2)
+    eta = c.eta_strict
     m = contraction_factor(c.alpha, c.smooth_L, eta)
-    stream = _stream(seed, "contraction")
-    worst = 0.0
-    for z1, z2, b1, b2 in _pairwise_drift_stats(spec, stream, pairs, n):
-        dg = (z1 + eta * b1) - (z2 + eta * b2)
-        ratios = np.linalg.norm(dg, axis=1) / np.maximum(
-            np.linalg.norm(z1 - z2, axis=1), 1e-300
-        )
-        worst = max(worst, float(np.max(ratios)))
+    worst = _worst_over_pairs(
+        spec, "contraction", seed, pairs, n,
+        lambda z1, z2, b1, b2: _stretch((z1 + eta * b1) - (z2 + eta * b2), z1, z2),
+    )
     return CheckResult(
         name=f"one_step_contraction[{type(spec).__name__}]",
         passed=worst <= m * (1.0 + slack),
@@ -176,8 +175,8 @@ def check_permutation_equivariance(spec: PayoffSpec, seed: int = 0, n: int = 6):
     """Permuting particles permutes the drift rows identically."""
     from .dynamics import drift_particles
 
-    stream = _stream(seed, "permute")
-    (state,) = _random_states(stream, 1, n, spec.dim)
+    vec = 2.0 * standard_normal_block(_stream(seed, "permute"), 2 * n * spec.dim)
+    state = ParticleState.from_joint_vector(vec, n, spec.dim)
     perm = np.arange(n)[::-1]
     permuted = ParticleState(xs=state.xs[perm], ys=state.ys[perm], step=state.step)
     b_x, b_y = drift_particles(spec, state)
@@ -195,14 +194,11 @@ def check_permutation_equivariance(spec: PayoffSpec, seed: int = 0, n: int = 6):
 
 def check_gd_envelope(spec: PayoffSpec, seed: int = 0, steps: int = 500):
     """Min-max GD stays below exp(-alpha eta k) * initial squared distance."""
-    c = spec.constants()
     stream = _stream(seed, "gd-envelope")
     x = standard_normal_block(stream, spec.dim)
     y = standard_normal_block(stream, spec.dim)
     try:
-        gd_rate_audit(
-            spec, JointPoint(x=x, y=y), c.alpha / (4.0 * c.smooth_L**2), steps
-        )
+        gd_rate_audit(spec, JointPoint(x=x, y=y), spec.constants().eta_gd, steps)
         ok, detail = True, f"{steps} steps below envelope"
     except Exception as exc:  # EnvelopeViolation carries the step info
         ok, detail = False, str(exc)
@@ -225,11 +221,7 @@ def check_functional_inequalities(seed: int = 0, pairs: int = 200):
     stream = _stream(seed, "functional")
     worst_t = worst_ls = np.inf
     for _ in range(pairs):
-        dim = nu.dim
-        mean = standard_normal_block(stream, dim)
-        raw = standard_normal_block(stream, dim * dim).reshape(dim, dim)
-        cov = raw @ raw.T / dim + 0.05 * np.eye(dim)
-        p = GaussianDist(mean=mean, cov=cov)
+        p = _random_gaussian(stream, nu.dim, 0.05)
         kl = gaussian_kl(p, nu)
         w2 = gaussian_w2(p, nu)
         fi = gaussian_relative_fi(p, nu)
@@ -247,12 +239,7 @@ def check_w2_triangle(seed: int = 0, triples: int = 100, dim: int = 3):
     stream = _stream(seed, "triangle")
     worst = -np.inf
     for _ in range(triples):
-        dists = []
-        for _ in range(3):
-            mean = standard_normal_block(stream, dim)
-            raw = standard_normal_block(stream, dim * dim).reshape(dim, dim)
-            dists.append(GaussianDist(mean=mean, cov=raw @ raw.T / dim + 0.1 * np.eye(dim)))
-        p, q, r = dists
+        p, q, r = (_random_gaussian(stream, dim, 0.1) for _ in range(3))
         lhs = np.sqrt(gaussian_w2(p, r))
         rhs = np.sqrt(gaussian_w2(p, q)) + np.sqrt(gaussian_w2(q, r))
         worst = max(worst, lhs - rhs)

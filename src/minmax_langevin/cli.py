@@ -12,11 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import (
-    check_gradients,
-    default_specs,
-    run_all_checks,
-)
+from .checks import check_gradients, default_specs, run_all_checks
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -50,10 +46,11 @@ def _plan_config(args, plan) -> ExperimentConfig:
     """A complete, runnable config whose payoff realizes (alpha, L) exactly.
 
     A = B = alpha*I with C = sqrt(L^2 - alpha^2)*I gives a joint Hessian of
-    operator norm exactly L while keeping the convexity modulus alpha.
+    operator norm exactly L while keeping the convexity modulus alpha;
+    ``plan_parameters`` has already checked ``alpha <= L``.
     """
     eye = np.eye(args.dim)
-    c_scale = float(np.sqrt(max(args.smooth_l**2 - args.alpha**2, 0.0)))
+    c_scale = float(np.sqrt(args.smooth_l**2 - args.alpha**2))
     spec = QuadraticBilinear(
         dim=args.dim, A=args.alpha * eye, B=args.alpha * eye, C=c_scale * eye
     )
@@ -143,13 +140,16 @@ def _cmd_couple(args) -> int:
     return EXIT_OK
 
 
+def _report(results) -> int:
+    """Print one PASS/FAIL line per check result; return how many failed."""
+    for res in results:
+        print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}")
+    return sum(not res.passed for res in results)
+
+
 def _cmd_check(args) -> int:
     results = run_all_checks(seed=args.seed)
-    failures = 0
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"[{status}] {res.name}: {res.detail}")
-        failures += 0 if res.passed else 1
+    failures = _report(results)
     if failures:
         print(f"{failures} property check(s) failed", file=sys.stderr)
         return EXIT_PROPERTY
@@ -163,12 +163,7 @@ def _cmd_gradcheck(args) -> int:
         check_gradients(quad, tol=1e-8, seed=args.seed, points=args.points),
         check_gradients(pert, tol=1e-6, seed=args.seed, points=args.points),
     ]
-    ok = True
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"[{status}] {res.name}: {res.detail}")
-        ok = ok and res.passed
-    return EXIT_OK if ok else EXIT_PROPERTY
+    return EXIT_PROPERTY if _report(results) else EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:

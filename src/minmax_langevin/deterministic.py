@@ -67,8 +67,7 @@ def gd_step(spec: PayoffSpec, z: JointPoint, eta_gd: float) -> JointPoint:
     """One descent-ascent step; warns outside the certified rate regime."""
     if eta_gd < 0.0:
         raise ValueError("step size must be nonnegative")
-    c = spec.constants()
-    if eta_gd > c.alpha / (4.0 * c.smooth_L**2):
+    if eta_gd > spec.constants().eta_gd:
         warnings.warn(
             "eta_gd exceeds alpha / (4 L^2); the exponential rate guarantee "
             "does not apply",
@@ -119,8 +118,7 @@ def solve_equilibrium(
             )
         return z, 0
     z = _solve_quadratic(spec.base)
-    c = spec.constants()
-    eta = c.alpha / (4.0 * c.smooth_L**2)
+    eta = spec.constants().eta_gd
     for k in range(max_iters):
         if grad_norm(spec, z) <= tol:
             return z, k
@@ -147,7 +145,7 @@ def gd_rate_audit(
     than 1e-9 relative slack, which would indicate a constants or update bug.
     """
     c = spec.constants()
-    if eta_gd > c.alpha / (4.0 * c.smooth_L**2):
+    if eta_gd > c.eta_gd:
         raise ValueError("rate audit requires eta_gd <= alpha / (4 L^2)")
     z_star, _ = solve_equilibrium(spec)
     d0 = float(np.sum((z0.vector - z_star.vector) ** 2))

@@ -54,6 +54,12 @@ __all__ = [
     "load_snapshot",
 ]
 
+# The drift above as run manifests record it; a new summation order changes it.
+DRIFT_SCHEME = ("mean-field: b_X[i] = -grad_x V(x^i, mean_j y^j), "
+                "b_Y[i] = grad_y V(mean_j x^j, y^i); particle means by numpy mean "
+                "over the particle axis")
+
+
 class DivergenceError(RuntimeError):
     """A particle trajectory produced nonfinite coordinates."""
 
@@ -132,9 +138,9 @@ class AlgorithmParams:
     """Step size, temperature, particle count and horizon for one run.
 
     ``tau = 0`` is allowed as a deterministic test mode (it reduces the
-    update to min-max gradient descent on every particle).  ``strict_eta``
-    additionally enforces the bias-guarantee regime eta <= alpha/(64 L^2);
-    the second-moment stability bound eta < alpha/(2 L^2) is always required.
+    update to min-max gradient descent on every particle).  ``eta <
+    eta_stable`` of the payoff's constants is always required; ``strict_eta``
+    also enforces the bias-guarantee regime ``eta <= eta_strict``.
     """
 
     eta: float
@@ -155,19 +161,16 @@ class AlgorithmParams:
 
     def validate_for(self, spec: PayoffSpec) -> None:
         c = spec.constants()
-        stability = c.alpha / (2.0 * c.smooth_L**2)
-        if not self.eta < stability:
+        if not self.eta < c.eta_stable:
             raise ValueError(
                 f"eta={self.eta} violates the stability regime "
-                f"eta < alpha/(2 L^2) = {stability}"
+                f"eta < alpha/(2 L^2) = {c.eta_stable}"
             )
-        if self.strict_eta:
-            strict = c.alpha / (64.0 * c.smooth_L**2)
-            if self.eta > strict:
-                raise ValueError(
-                    f"eta={self.eta} violates the strict bias regime "
-                    f"eta <= alpha/(64 L^2) = {strict}"
-                )
+        if self.strict_eta and self.eta > c.eta_strict:
+            raise ValueError(
+                f"eta={self.eta} violates the strict bias regime "
+                f"eta <= alpha/(64 L^2) = {c.eta_strict}"
+            )
 
 
 def _mean_field_drift(spec: PayoffSpec, xs: np.ndarray, ys: np.ndarray):

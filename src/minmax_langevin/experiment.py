@@ -32,6 +32,7 @@ from .deterministic import (
 )
 # coupled_contraction_run stays bound: perfbench/tracer.py patches it by name.
 from .dynamics import (
+    DRIFT_SCHEME,
     DivergenceError,
     ParticleState,
     coupled_contraction_run,
@@ -50,7 +51,7 @@ from .oracle import (
     transient_kl_envelope,
 )
 from .payoff import PerturbedQuadratic, QuadraticBilinear
-from .rng import KeyedNoise
+from .rng import NOISE_SCHEME, KeyedNoise
 
 __all__ = ["ReportBundle", "run_experiment", "csv_header", "initial_state"]
 
@@ -66,12 +67,15 @@ class ReportBundle:
     records: list
 
 
+# The MetricsRecord fields written after the per-coordinate means, in
+# metrics.csv column order.
+_SCALAR_COLUMNS = ("avg_cov_trace", "kl_fit_to_eq", "w2_fit_to_eq_sq", "grad_gap_bound",
+                   "coupling_dist_sq", "envelope_kl", "bias_bound")
+
+
 def csv_header(dim: int) -> str:
-    mean_cols = ",".join(f"avg_mean_{i}" for i in range(2 * dim))
-    return (
-        f"step,{mean_cols},avg_cov_trace,kl_fit_to_eq,w2_fit_to_eq_sq,"
-        f"grad_gap_bound,coupling_dist_sq,envelope_kl,bias_bound"
-    )
+    mean_cols = [f"avg_mean_{i}" for i in range(2 * dim)]
+    return ",".join(["step", *mean_cols, *_SCALAR_COLUMNS])
 
 
 def _cell(value) -> str:
@@ -83,15 +87,7 @@ def _cell(value) -> str:
 def _csv_row(record: MetricsRecord) -> str:
     cells = [str(record.step)]
     cells += [_cell(v) for v in record.avg_mean]
-    cells += [
-        _cell(record.avg_cov_trace),
-        _cell(record.kl_fit_to_eq),
-        _cell(record.w2_fit_to_eq_sq),
-        _cell(record.grad_gap_bound),
-        _cell(record.coupling_dist_sq),
-        _cell(record.envelope_kl),
-        _cell(record.bias_bound),
-    ]
+    cells += [_cell(getattr(record, name)) for name in _SCALAR_COLUMNS]
     return ",".join(cells)
 
 
@@ -163,7 +159,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
     spec = config.payoff
     constants = spec.constants()
     d = spec.dim
-    n = config.algorithm.n_particles
+    n, eta = config.algorithm.n_particles, config.algorithm.eta
     out = Path(output_dir if output_dir is not None else config.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -186,8 +182,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
         var_exact = equilibrium_variance(spec, config.tau)
         variance_reading = "exact"
         bias_value = kl_bias_bound(
-            constants.alpha, constants.smooth_L, config.tau, d, n,
-            config.algorithm.eta, var_exact,
+            constants.alpha, constants.smooth_L, config.tau, d, n, eta, var_exact
         )
         kl0 = gaussian_kl(init_law, reference)
         w20 = gaussian_w2(init_law, reference)
@@ -195,7 +190,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
         def envelope(step: int, _bias=bias_value) -> float:
             return transient_kl_envelope(
                 n * kl0, n * w20, constants.alpha, constants.smooth_L,
-                config.tau, config.algorithm.eta, step, _bias, n,
+                config.tau, eta, step, _bias, n,
             )
 
     # A coupled run steps systems A and B as one stacked pair sharing each
@@ -253,28 +248,20 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
         "seed": config.seed,
         "alpha": constants.alpha,
         "smooth_L": constants.smooth_L,
-        "eta": config.algorithm.eta,
+        "eta": eta,
         "regime_checks": {
-            "stability_eta_lt_alpha_over_2L2": bool(
-                config.algorithm.eta < constants.alpha / (2 * constants.smooth_L**2)
-            ),
-            "strict_eta_le_alpha_over_64L2": bool(
-                config.algorithm.eta <= constants.alpha / (64 * constants.smooth_L**2)
-            ),
+            "stability_eta_lt_alpha_over_2L2": bool(eta < constants.eta_stable),
+            "strict_eta_le_alpha_over_64L2": bool(eta <= constants.eta_strict),
             "strict_eta_enforced": config.algorithm.strict_eta,
         },
         "variance_reading": variance_reading,
         "equilibrium_reference": reference_mode,
         "contraction_factor_M": contraction_factor(
-            constants.alpha, constants.smooth_L, config.algorithm.eta
+            constants.alpha, constants.smooth_L, eta
         ),
         "coupling_enabled": coupled,
-        "noise_scheme": "v2: numpy philox4x64-10; particle block row i = "
-        "words i*d..i*d+d-1 at key (seed, sha256 role code), counter word 1 = "
-        "step; u = ((w >> 12) + 0.5) * 2**-52; inverse-CDF gaussians",
-        "drift_scheme": "mean-field: b_X[i] = -grad_x V(x^i, mean_j y^j), "
-        "b_Y[i] = grad_y V(mean_j x^j, y^i); particle means by numpy mean "
-        "over the particle axis",
+        "noise_scheme": NOISE_SCHEME,
+        "drift_scheme": DRIFT_SCHEME,
         "config": serialize_config(config),
         "versions": {
             "minmax_langevin": __version__,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deterministic import JointPoint, solve_equilibrium
-from .payoff import PayoffSpec, QuadraticBilinear
+from .payoff import Constants, PayoffSpec, QuadraticBilinear
 
 __all__ = [
     "GaussianDist",
@@ -177,18 +177,20 @@ def plan_parameters(
         gd_eta  = alpha / (4 L^2)
         gd_iters= ceil((4 L^2 / alpha^2) * log(alpha^3 |z*|^2 / (tau d L^2)))
 
-    Counts are ceilings; log arguments are clamped below at 1.  Requests with
-    eps so large that eta would exceed alpha / (64 L^2) fall outside the
-    guarantee regime and are rejected.
+    Counts are ceilings; log arguments are clamped below at 1.  ``(alpha,
+    smooth_l)`` must be valid :class:`Constants` (``0 < alpha <= L``), and
+    requests with eps so large that eta would exceed alpha / (64 L^2) fall
+    outside the guarantee regime; both are rejected.
     """
-    if min(alpha, smooth_l, tau) <= 0.0 or d < 1:
+    c = Constants(alpha, smooth_l)
+    if tau <= 0.0 or d < 1:
         raise ValueError("alpha, smooth_l, tau must be positive and d >= 1")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     if z_star_norm_sq < 0.0:
         raise ValueError("z_star_norm_sq must be nonnegative")
     eta = eps * alpha**3 / (7500.0 * d * smooth_l**4)
-    if eta > alpha / (64.0 * smooth_l**2):
+    if eta > c.eta_strict:
         raise ValueError(
             "eps is too large: the recipe step size would leave the "
             "eta <= alpha/(64 L^2) regime"
@@ -207,7 +209,7 @@ def plan_parameters(
         n_particles=n_particles,
         iters=iters,
         gd_iters=gd_iters,
-        gd_eta=alpha / (4.0 * smooth_l**2),
+        gd_eta=c.eta_gd,
         init_cov_scale=tau / smooth_l,
     )
 

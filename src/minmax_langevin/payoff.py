@@ -18,6 +18,11 @@ particle drift also relies on ``grad_x`` being affine in ``y`` and ``grad_y``
 affine in ``x`` (true here: the cross term ``x'Cy`` is bilinear and the
 ripple is separable), so an average over opponents equals the gradient at
 the opponents' mean.  A new family must keep both properties.
+
+:class:`Constants` also states the step-size regimes of the guarantees once:
+stability at ``eta < alpha / (2 L**2)``, the min-max GD rate at
+``eta <= alpha / (4 L**2)`` and the stationary-bias bound at
+``eta <= alpha / (64 L**2)``.
 """
 
 from __future__ import annotations
@@ -42,7 +47,8 @@ _POWER_MAX_ITERS = 10_000
 
 @dataclass(frozen=True)
 class Constants:
-    """Certified curvature constants: 0 < alpha <= smooth_L."""
+    """Certified curvature constants 0 < alpha <= smooth_L, and the three
+    step-size regimes they fix: ``eta_stable``, ``eta_gd``, ``eta_strict``."""
 
     alpha: float
     smooth_L: float
@@ -53,6 +59,18 @@ class Constants:
                 f"constants must satisfy 0 < alpha <= smooth_L, "
                 f"got alpha={self.alpha}, smooth_L={self.smooth_L}"
             )
+
+    @property
+    def eta_stable(self) -> float:  # the particle update needs eta < eta_stable
+        return self.alpha / (2.0 * self.smooth_L**2)
+
+    @property
+    def eta_gd(self) -> float:  # min-max GD keeps its rate for eta <= eta_gd
+        return self.alpha / (4.0 * self.smooth_L**2)
+
+    @property
+    def eta_strict(self) -> float:  # the stationary-bias bound: eta <= eta_strict
+        return self.alpha / (64.0 * self.smooth_L**2)
 
 
 def _as_matrix(m, dim: int, name: str) -> np.ndarray:
@@ -234,9 +252,7 @@ class PerturbedQuadratic:
         if self._constants is None:
             shift = self.amplitude * self.frequency**2
             base = self.base.constants()
-            alpha = base.alpha - shift
-            if alpha <= 0.0:
-                raise ValueError("perturbation wiped out strong convexity")
+            alpha = base.alpha - shift  # >= alpha_base / 2 by the amplitude cap
             object.__setattr__(
                 self, "_constants", Constants(alpha, base.smooth_L + shift)
             )

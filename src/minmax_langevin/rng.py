@@ -46,6 +46,11 @@ __all__ = [
     "KeyedNoise",
 ]
 
+# The scheme above as run manifests record it; a change to the variates changes it.
+NOISE_SCHEME = ("v2: numpy philox4x64-10; particle block row i = words i*d..i*d+d-1 "
+                "at key (seed, sha256 role code), counter word 1 = step; "
+                "u = ((w >> 12) + 0.5) * 2**-52; inverse-CDF gaussians")
+
 _U64 = np.uint64
 
 # splitmix64 finalizer multipliers.
