@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 configuration error, 3 divergence during a run,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -66,6 +67,11 @@ def _plan_config(args, plan) -> ExperimentConfig:
 
 def _cmd_plan(args) -> int:
     try:
+        for dest in ("alpha", "smooth_l", "tau", "eps", "z_star_norm_sq"):
+            value = getattr(args, dest)
+            if not math.isfinite(value):
+                flag = "--" + dest.replace("_", "-")
+                raise ValueError(f"{flag} must be a finite number, got {value}")
         plan = plan_parameters(
             args.alpha, args.smooth_l, args.tau, args.dim, args.eps,
             args.z_star_norm_sq,

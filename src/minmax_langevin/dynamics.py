@@ -174,9 +174,14 @@ class AlgorithmParams:
 
 
 def _mean_field_drift(spec: PayoffSpec, xs: np.ndarray, ys: np.ndarray):
-    """(b_X, b_Y) for clouds of shape (..., N, d), averaging over axis -2."""
-    x_bar = xs.mean(axis=-2, keepdims=True)
-    y_bar = ys.mean(axis=-2, keepdims=True)
+    """(b_X, b_Y) for clouds of shape (..., N, d), averaging over axis -2.
+
+    The means are ``np.add.reduce(...) / n``: numpy's ``mean`` bit for bit,
+    without its per-call dispatch.
+    """
+    n = xs.shape[-2]
+    x_bar = np.add.reduce(xs, axis=-2, keepdims=True) / n
+    y_bar = np.add.reduce(ys, axis=-2, keepdims=True) / n
     return -spec.grad_x(xs, y_bar), spec.grad_y(x_bar, ys)
 
 
@@ -235,15 +240,17 @@ def step_algorithm(
     params.validate_for(spec)
     n, d = state.n_particles, state.dim
     b_x, b_y = drift_particles(spec, state)
-    if not (np.isfinite(b_x).all() and np.isfinite(b_y).all()):
-        raise DivergenceError(state.step, "drift is nonfinite")
     xs = state.xs + params.eta * b_x
     ys = state.ys + params.eta * b_y
     if params.tau > 0.0:
         scale = np.sqrt(2.0 * params.tau * params.eta)
-        xs = xs + scale * noise.block("x", n, state.step, d)
-        ys = ys + scale * noise.block("y", n, state.step, d)
+        xs += scale * noise.block("x", n, state.step, d)
+        ys += scale * noise.block("y", n, state.step, d)
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        # A nonfinite drift always gives a nonfinite update (eta > 0 and
+        # every variate is finite), so the drift is only inspected here.
+        if not (np.isfinite(b_x).all() and np.isfinite(b_y).all()):
+            raise DivergenceError(state.step, "drift is nonfinite")
         raise DivergenceError(state.step, "state overflowed to nonfinite values")
     return ParticleState(xs=xs, ys=ys, step=state.step + 1)
 

@@ -226,8 +226,9 @@ def variance_and_fisher_bounds(
     L^2 |z*|^2 / tau^2`` bounds the relative Fisher information of the
     centered Gaussian initialization N(0, tau^2/L^2 I) to its best response.
     """
-    if min(alpha, smooth_l, tau) <= 0.0 or d < 1:
-        raise ValueError("alpha, smooth_l, tau must be positive and d >= 1")
+    Constants(alpha, smooth_l)
+    if tau <= 0.0 or d < 1:
+        raise ValueError("tau must be positive and d >= 1")
     if z_star_norm_sq < 0.0:
         raise ValueError("z_star_norm_sq must be nonnegative")
     var_bound = 2.0 * tau * d / alpha
@@ -254,7 +255,8 @@ def kl_bias_bound(
     ``var_value`` is either the exact equilibrium variance (quadratic family:
     tr(tau A^-1) + tr(tau B^-1)) or the 2 tau d / alpha bound.
     """
-    if min(alpha, smooth_l, tau, eta) <= 0.0 or d < 1 or n_particles < 1:
+    Constants(alpha, smooth_l)
+    if min(tau, eta) <= 0.0 or d < 1 or n_particles < 1:
         raise ValueError("parameters must be positive")
     first = 45.0 * smooth_l**4 * var_value / (alpha**3 * tau * n_particles)
     second = 2475.0 * eta * d * smooth_l**4 / alpha**3
@@ -282,7 +284,8 @@ def transient_kl_envelope(
     """
     if min(initial_kl, initial_w2_sq, bias) < 0.0:
         raise ValueError("divergences and bias must be nonnegative")
-    if min(alpha, smooth_l, tau, eta) <= 0.0 or k < 0 or n_particles < 1:
+    Constants(alpha, smooth_l)
+    if min(tau, eta) <= 0.0 or k < 0 or n_particles < 1:
         raise ValueError("parameters must be positive and k nonnegative")
     transient = initial_kl + 9.0 * smooth_l**2 * initial_w2_sq / (alpha * tau)
     return math.exp(-alpha * eta * k) * transient / n_particles + bias

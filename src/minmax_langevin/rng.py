@@ -28,11 +28,19 @@ at counter ``(j // 4 + 1, counter1, 0, 0)`` under key ``(seed, key1)``; the
    Every variate is finite and nonzero, with ``|z| <= 8.2095...``.  The
    inverse-CDF method consumes exactly one word per variate; it is the fixed
    Gaussian-generation method for this package.
+
+Every draw runs on one module-level generator: ``_philox_words`` sets its
+key, counter and empty output buffer, then reads the words, all while
+holding one lock, so concurrent callers never see each other's state.  No
+draw constructs a generator, so none reads OS entropy for a seed sequence it
+would not use.  Role codes are hashed once per role tag.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,6 +76,7 @@ def _splitmix64(x):
         return z ^ (z >> _U64(31))
 
 
+@functools.lru_cache(maxsize=256)
 def _role_code(role: str) -> np.uint64:
     digest = hashlib.sha256(role.encode("utf-8")).digest()
     return _U64(int.from_bytes(digest[:8], "big"))
@@ -88,20 +97,43 @@ def derive_stream_id(role: str, particle, step: int):
     return h
 
 
+# The one generator behind every draw.  Each draw sets its whole state, so
+# no draw depends on an earlier one.  The lock is this module's own:
+# ``random_raw`` takes the generator's lock itself, and holding that lock
+# around the call is safe only where numpy makes it reentrant.
+_PHILOX = np.random.Philox(0)
+_PHILOX_LOCK = threading.Lock()
+
+
 def _philox_words(seed, key1, counter1, start: int, count: int) -> np.ndarray:
     """Words ``start .. start+count-1`` of the sequence ``(seed, key1, counter1)``."""
     skip = start % 4
-    gen = np.random.Philox(
-        key=np.array([seed, key1], dtype=_U64),
-        counter=np.array([start // 4, counter1, 0, 0], dtype=_U64),
-    )
-    return gen.random_raw(skip + count)[skip:]
+    with _PHILOX_LOCK:
+        _PHILOX.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (start // 4, counter1, 0, 0), "key": (seed, key1)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return _PHILOX.random_raw(skip + count)[skip:]
+
+
+# 1.0 as float64 bits, and the offset that turns 1 + k * 2**-52 into
+# (k + 0.5) * 2**-52; the subtraction is exact (Sterbenz), so the map below
+# equals ((w >> 12) + 0.5) * 2**-52 bit for bit.
+_ONE_BITS = _U64(0x3FF0000000000000)
+_LARGEST_BELOW_ONE = 1.0 - 2.0**-53
 
 
 def _words_to_normals(words) -> np.ndarray:
     """Map uint64 words to standard normals via open-interval inverse CDF."""
-    u = ((words >> _U64(12)).astype(np.float64) + 0.5) * (2.0**-52)
-    return ndtri(u)
+    bits = words >> _U64(12)
+    bits |= _ONE_BITS
+    u = bits.view(np.float64)
+    u -= _LARGEST_BELOW_ONE
+    return ndtri(u, out=u)
 
 
 @dataclass

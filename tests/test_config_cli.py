@@ -261,6 +261,17 @@ class TestCliCommands:
         assert code == 2
         assert "regime" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--alpha", "--smooth-l", "--tau", "--eps"])
+    def test_plan_rejects_nonfinite_flag(self, flag, value, capsys):
+        argv = {"--alpha": "1", "--smooth-l": "1", "--tau": "1", "--eps": "0.1"}
+        argv[flag] = value
+        code = main(["plan", "--dim", "1", *(t for kv in argv.items() for t in kv)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"config error: {flag} must be a finite number" in captured.err
+        assert captured.out == ""
+
     def test_run_and_reproducibility_via_cli(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(minimal_config(tmp_path, checkpoint_every=20))

@@ -185,6 +185,23 @@ class TestStep:
             step_algorithm(q, state, params, KeyedNoise(0))
         assert err.value.step == 17
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("q,xy,message", [
+        (scalar_quadratic(c=0.5), (1.5e308, 1.2e308), "drift is nonfinite"),
+        (QuadraticBilinear(dim=1, A=[[0.1]], B=[[0.1]], C=[[0.5]]),
+         (1.79e308, -1e308), "state overflowed to nonfinite values"),
+    ], ids=["drift", "update"])
+    def test_noisy_plain_state_divergence_names_its_cause(self, q, xy, message):
+        # One finiteness pass on the update; the drift is inspected only
+        # after it fails, to tell the two causes apart.
+        state = ParticleState(
+            xs=np.full((1, 1), xy[0]), ys=np.full((1, 1), xy[1]), step=23
+        )
+        params = AlgorithmParams(eta=0.15, tau=0.5, n_particles=1, steps=1)
+        with pytest.raises(DivergenceError, match=f"^step 23: {message}$") as err:
+            step_algorithm(q, state, params, KeyedNoise(4))
+        assert err.value.step == 23
+
 
     @pytest.mark.parametrize("spec_idx", [0, 1])
     def test_stacked_pair_equals_separate_steps(self, spec_idx):

@@ -174,6 +174,15 @@ class TestBounds:
         value = transient_kl_envelope(3.0, 2.0, 1.0, 1.0, 1.0, 0.1, 10**6, 0.125, 4)
         assert value == pytest.approx(0.125)
 
+    def test_bounds_reject_alpha_above_smooth_l(self):
+        # No strongly convex, L-smooth payoff has alpha > L.
+        with pytest.raises(ValueError, match="alpha <= smooth_L"):
+            variance_and_fisher_bounds(2.0, 1.0, 1.0, 1)
+        with pytest.raises(ValueError, match="alpha <= smooth_L"):
+            kl_bias_bound(2.0, 1.0, 1.0, 1, 8, 0.01, 1.0)
+        with pytest.raises(ValueError, match="alpha <= smooth_L"):
+            transient_kl_envelope(3.0, 2.0, 2.0, 1.0, 1.0, 0.1, 0, 0.0, 4)
+
     def test_transient_envelope_halves_at_log_two(self):
         k = 100
         eta = math.log(2.0) / k  # alpha * eta * k = ln 2 exactly

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -287,6 +289,76 @@ class TestWholeStreamOracle:
                 block[i],
                 numpy_philox_normals(31, _role_code("y"), dim, counter1=6, start=i * dim),
             )
+
+
+class TestSharedGenerator:
+    """Every draw re-addresses one generator; no draw sees another's state."""
+
+    def test_interleaved_blocks_and_streams_match_oracle(self):
+        noises = {seed: KeyedNoise(seed) for seed in (3, 2**64 - 5)}
+        streams = {sid: create_stream(3, sid) for sid in (11, 2**63 + 7)}
+        drawn = {sid: 0 for sid in streams}
+        for i in range(24):
+            seed = (3, 2**64 - 5)[i % 2]
+            role = ("x", "y", "init-x")[i % 3]
+            n, dim = 1 + i % 5, 1 + i % 3
+            np.testing.assert_array_equal(
+                noises[seed].block(role, n, i, dim),
+                numpy_philox_normals(seed, _role_code(role), n * dim, counter1=i)
+                .reshape(n, dim),
+            )
+            sid = (11, 2**63 + 7)[i % 2]
+            count = 2 * i + 1  # odd, so later draws start mid-block
+            np.testing.assert_array_equal(
+                standard_normal_block(streams[sid], count),
+                numpy_philox_normals(3, sid, count, start=drawn[sid]),
+            )
+            drawn[sid] += count
+
+    def test_concurrent_threads_draw_oracle_blocks(self):
+        n, dim, steps = 64, 3, 60
+        results = {}
+        barrier = threading.Barrier(4, timeout=30)
+
+        def draw(seed):
+            noise = KeyedNoise(seed)
+            barrier.wait()
+            results[seed] = [noise.block("x", n, step, dim) for step in range(steps)]
+
+        threads = [threading.Thread(target=draw, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for seed in range(4):
+            for step, block in enumerate(results[seed]):
+                np.testing.assert_array_equal(
+                    block,
+                    numpy_philox_normals(seed, _role_code("x"), n * dim, counter1=step)
+                    .reshape(n, dim),
+                )
+
+    def test_draws_construct_no_generator(self, monkeypatch):
+        constructed = []
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            constructed.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        noise = KeyedNoise(8)
+        stream = create_stream(8, 99)
+        for step in range(50):
+            noise.block("x", 16, step, 2)
+            standard_normal_block(stream, 3)
+        assert constructed == []
 
 
 class TestGoodnessOfFit:
