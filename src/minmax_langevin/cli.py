@@ -66,17 +66,23 @@ def _plan_config(args, plan) -> ExperimentConfig:
 
 
 def _cmd_plan(args) -> int:
+    flags = {"--" + dest.replace("_", "-"): getattr(args, dest)
+             for dest in ("alpha", "smooth_l", "tau", "eps", "z_star_norm_sq")}
     try:
-        for dest in ("alpha", "smooth_l", "tau", "eps", "z_star_norm_sq"):
-            value = getattr(args, dest)
+        for flag, value in flags.items():
             if not math.isfinite(value):
-                flag = "--" + dest.replace("_", "-")
                 raise ValueError(f"{flag} must be a finite number, got {value}")
-        plan = plan_parameters(
-            args.alpha, args.smooth_l, args.tau, args.dim, args.eps,
-            args.z_star_norm_sq,
-        )
-        text = serialize_config(_plan_config(args, plan))
+        try:
+            plan = plan_parameters(
+                args.alpha, args.smooth_l, args.tau, args.dim, args.eps,
+                args.z_star_norm_sq,
+            )
+            text = serialize_config(_plan_config(args, plan))
+        except (OverflowError, ZeroDivisionError) as exc:
+            # args[-1] is the text; a float ** overflow puts an errno first.
+            given = ", ".join(f"{flag} {value}" for flag, value in flags.items())
+            raise ValueError(f"the plan for {given} is outside floating-point "
+                             f"range: {exc.args[-1]}") from exc
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

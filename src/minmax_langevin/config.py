@@ -252,7 +252,8 @@ def _parse_init(values: dict, prefix: str) -> InitSpec | None:
     try:
         return InitSpec(**fields)
     except ConfigError as exc:
-        raise ConfigError(str(exc).replace("init.", prefix + ".")) from exc
+        # Every InitSpec message starts with its key; rename only that.
+        raise ConfigError(prefix + str(exc).removeprefix("init")) from exc
 
 
 def parse_config(text: str) -> ExperimentConfig:

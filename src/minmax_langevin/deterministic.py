@@ -82,9 +82,7 @@ def _solve_quadratic(spec: QuadraticBilinear) -> JointPoint:
     # Stationarity: A x + C y + u = 0 and -B y + C'x + v = 0.  The block
     # matrix is invertible whenever A, B are positive definite.
     d = spec.dim
-    K = np.vstack(
-        [np.hstack([spec.A, spec.C]), np.hstack([spec.C.T, -spec.B])]
-    )
+    K = spec.hessian_joint()
     rhs = np.concatenate([-spec.u, -spec.v])
     z = np.linalg.solve(K, rhs)
     # One step of iterative refinement keeps the residual near rounding level.

@@ -150,9 +150,9 @@ class AlgorithmParams:
     strict_eta: bool = False
 
     def __post_init__(self):
-        if self.eta <= 0.0:
+        if not self.eta > 0.0:
             raise ValueError("eta must be positive")
-        if self.tau < 0.0:
+        if not self.tau >= 0.0:
             raise ValueError("tau must be nonnegative")
         if self.n_particles < 1:
             raise ValueError("n_particles must be at least 1")

@@ -50,7 +50,7 @@ from .oracle import (
     kl_bias_bound,
     transient_kl_envelope,
 )
-from .payoff import PerturbedQuadratic, QuadraticBilinear
+from .payoff import CONSTANTS_SCHEME, PerturbedQuadratic, QuadraticBilinear
 from .rng import NOISE_SCHEME, KeyedNoise
 
 __all__ = ["ReportBundle", "run_experiment", "csv_header", "initial_state"]
@@ -262,6 +262,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
         "coupling_enabled": coupled,
         "noise_scheme": NOISE_SCHEME,
         "drift_scheme": DRIFT_SCHEME,
+        "constants_scheme": CONSTANTS_SCHEME,
         "config": serialize_config(config),
         "versions": {
             "minmax_langevin": __version__,

@@ -183,11 +183,11 @@ def plan_parameters(
     outside the guarantee regime; both are rejected.
     """
     c = Constants(alpha, smooth_l)
-    if tau <= 0.0 or d < 1:
+    if not tau > 0.0 or d < 1:
         raise ValueError("alpha, smooth_l, tau must be positive and d >= 1")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
-    if z_star_norm_sq < 0.0:
+    if not z_star_norm_sq >= 0.0:
         raise ValueError("z_star_norm_sq must be nonnegative")
     eta = eps * alpha**3 / (7500.0 * d * smooth_l**4)
     if eta > c.eta_strict:
@@ -227,9 +227,9 @@ def variance_and_fisher_bounds(
     centered Gaussian initialization N(0, tau^2/L^2 I) to its best response.
     """
     Constants(alpha, smooth_l)
-    if tau <= 0.0 or d < 1:
+    if not tau > 0.0 or d < 1:
         raise ValueError("tau must be positive and d >= 1")
-    if z_star_norm_sq < 0.0:
+    if not z_star_norm_sq >= 0.0:
         raise ValueError("z_star_norm_sq must be nonnegative")
     var_bound = 2.0 * tau * d / alpha
     fi_bound = (
@@ -256,7 +256,7 @@ def kl_bias_bound(
     tr(tau A^-1) + tr(tau B^-1)) or the 2 tau d / alpha bound.
     """
     Constants(alpha, smooth_l)
-    if min(tau, eta) <= 0.0 or d < 1 or n_particles < 1:
+    if not (tau > 0.0 and eta > 0.0) or d < 1 or n_particles < 1:
         raise ValueError("parameters must be positive")
     first = 45.0 * smooth_l**4 * var_value / (alpha**3 * tau * n_particles)
     second = 2475.0 * eta * d * smooth_l**4 / alpha**3
@@ -285,7 +285,7 @@ def transient_kl_envelope(
     if min(initial_kl, initial_w2_sq, bias) < 0.0:
         raise ValueError("divergences and bias must be nonnegative")
     Constants(alpha, smooth_l)
-    if min(tau, eta) <= 0.0 or k < 0 or n_particles < 1:
+    if not (tau > 0.0 and eta > 0.0) or k < 0 or n_particles < 1:
         raise ValueError("parameters must be positive and k nonnegative")
     transient = initial_kl + 9.0 * smooth_l**2 * initial_w2_sq / (alpha * tau)
     return math.exp(-alpha * eta * k) * transient / n_particles + bias

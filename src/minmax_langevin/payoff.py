@@ -4,13 +4,15 @@ Two families are provided:
 
 * :class:`QuadraticBilinear` -
   ``V(x, y) = 1/2 x'Ax - 1/2 y'By + x'Cy + u'x + v'y`` with ``A, B`` symmetric
-  positive definite.  The Hessian is constant, so the convexity modulus and
-  the smoothness constant are exact.
+  positive definite.  The Hessian ``H = [[A, C], [C', -B]]`` is constant, so
+  both constants are exact and are computed once, at construction, by
+  symmetric eigensolves: ``alpha = min(lmin(A), lmin(B))`` and
+  ``L = max |eig(H)|``, which is the operator norm of the symmetric ``H``.
 * :class:`PerturbedQuadratic`: the quadratic base plus a separable cosine
   ripple ``amp * sum_i (cos(freq*x_i) - cos(freq*y_i))``.  The ripple keeps
   the payoff four-times continuously differentiable and shifts every Hessian
   eigenvalue by at most ``amp * freq**2``, so certified (not tight) constants
-  are available in closed form.
+  follow from the base's: ``alpha - amp * freq**2`` and ``L + amp * freq**2``.
 
 Both families expose elementwise-broadcasting gradients: ``grad_x``/``grad_y``
 accept inputs of shape ``(..., d)`` and return the broadcast shape.  The
@@ -36,18 +38,22 @@ __all__ = [
     "QuadraticBilinear",
     "PerturbedQuadratic",
     "PayoffSpec",
+    "CONSTANTS_SCHEME",
     "check_gradient_fd",
 ]
 
-# Power iteration settings for the Hessian operator norm (fixed so that
-# repeated runs give bit-identical constants).
-_POWER_TOL = 1e-10
-_POWER_MAX_ITERS = 10_000
+# How the constants are computed, as run manifests record it; a change to the
+# computed alpha or L changes it.
+CONSTANTS_SCHEME = ("exact: alpha = min(eigvalsh(A), eigvalsh(B)), "
+                    "L = max |eigvalsh([[A, C], [C', -B]])|; perturbed: "
+                    "alpha - amp*freq**2, L + amp*freq**2")
 
 
 @dataclass(frozen=True)
 class Constants:
-    """Certified curvature constants 0 < alpha <= smooth_L, and the three
+    """Certified constants 0 < alpha <= smooth_L (the convexity-concavity
+    modulus and a bound on the joint Hessian's operator norm, computed once
+    per payoff at construction as the module docstring says), and the three
     step-size regimes they fix: ``eta_stable``, ``eta_gd``, ``eta_strict``."""
 
     alpha: float
@@ -87,28 +93,6 @@ def _as_vector(v, dim: int, name: str) -> np.ndarray:
     return v
 
 
-def _operator_norm_power(H: np.ndarray) -> float:
-    """Operator norm of symmetric ``H`` by power iteration on ``H @ H``.
-
-    Deterministic all-ones start, tolerance ``1e-10``, at most 10000 sweeps.
-    """
-    n = H.shape[0]
-    v = np.ones(n) / np.sqrt(n)
-    estimate = 0.0
-    for _ in range(_POWER_MAX_ITERS):
-        w = H @ (H @ v)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new_estimate = float(v @ (H @ (H @ v)))
-        if abs(new_estimate - estimate) <= _POWER_TOL * max(1.0, new_estimate):
-            estimate = new_estimate
-            break
-        estimate = new_estimate
-    return float(np.sqrt(max(estimate, 0.0)))
-
-
 @dataclass(frozen=True, eq=False)
 class QuadraticBilinear:
     """Quadratic-bilinear payoff ``1/2 x'Ax - 1/2 y'By + x'Cy + u'x + v'y``."""
@@ -130,12 +114,16 @@ class QuadraticBilinear:
         v = np.zeros(self.dim) if self.v is None else _as_vector(self.v, self.dim, "v")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
+        lmin = []
         for name, m in (("A", self.A), ("B", self.B)):
             if not np.allclose(m, m.T, atol=1e-12):
                 raise ValueError(f"{name} must be symmetric")
-            if np.linalg.eigvalsh(m).min() <= 0.0:
+            lmin.append(np.linalg.eigvalsh(m).min())
+            if lmin[-1] <= 0.0:
                 raise ValueError(f"{name} must be positive definite")
-        object.__setattr__(self, "_constants", None)
+        eig_h = np.linalg.eigvalsh(self.hessian_joint())
+        constants = Constants(float(min(lmin)), float(np.abs(eig_h).max()))
+        object.__setattr__(self, "_constants", constants)
 
     def __eq__(self, other):
         if not isinstance(other, QuadraticBilinear):
@@ -175,17 +163,9 @@ class QuadraticBilinear:
 
     def hessian_joint(self) -> np.ndarray:
         """The constant 2d x 2d Hessian [[A, C], [C', -B]]."""
-        top = np.hstack([self.A, self.C])
-        bottom = np.hstack([self.C.T, -self.B])
-        return np.vstack([top, bottom])
+        return np.block([[self.A, self.C], [self.C.T, -self.B]])
 
     def constants(self) -> Constants:
-        if self._constants is None:
-            alpha = float(
-                min(np.linalg.eigvalsh(self.A).min(), np.linalg.eigvalsh(self.B).min())
-            )
-            smooth_l = _operator_norm_power(self.hessian_joint())
-            object.__setattr__(self, "_constants", Constants(alpha, smooth_l))
         return self._constants
 
 
@@ -208,16 +188,15 @@ class PerturbedQuadratic:
             raise ValueError("amplitude must be nonnegative")
         if self.frequency <= 0.0:
             raise ValueError("frequency must be positive")
-        lmin = min(
-            np.linalg.eigvalsh(self.base.A).min(),
-            np.linalg.eigvalsh(self.base.B).min(),
-        )
-        if self.amplitude * self.frequency**2 > 0.5 * lmin:
+        shift = self.amplitude * self.frequency**2
+        base = self.base.constants()
+        if shift > 0.5 * base.alpha:
             raise ValueError(
                 "amplitude * frequency**2 exceeds half the smallest Hessian "
                 "eigenvalue; strong convexity-concavity would be lost"
             )
-        object.__setattr__(self, "_constants", None)
+        constants = Constants(base.alpha - shift, base.smooth_L + shift)
+        object.__setattr__(self, "_constants", constants)
 
     def __eq__(self, other):
         if not isinstance(other, PerturbedQuadratic):
@@ -249,13 +228,6 @@ class PerturbedQuadratic:
         return self.base.grad_y(x, y) + self.amplitude * f * np.sin(f * y)
 
     def constants(self) -> Constants:
-        if self._constants is None:
-            shift = self.amplitude * self.frequency**2
-            base = self.base.constants()
-            alpha = base.alpha - shift  # >= alpha_base / 2 by the amplitude cap
-            object.__setattr__(
-                self, "_constants", Constants(alpha, base.smooth_L + shift)
-            )
         return self._constants
 
 

@@ -452,3 +452,66 @@ class TestCliCommands:
         assert main(["equilibrium", "--config", str(cfg_path)]) == 0
         out = capsys.readouterr().out
         assert "nu_X" in out and "nu_Y" in out
+
+
+class TestCliEdgePaths:
+    @pytest.mark.parametrize("alpha, smooth_l", [("1", "1e100"), ("1e-100", "1")])
+    def test_plan_on_extreme_finite_flags_is_config_error(self, alpha, smooth_l,
+                                                          capsys):
+        code = main(["plan", "--alpha", alpha, "--smooth-l", smooth_l, "--tau",
+                     "1", "--dim", "1", "--eps", "0.1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert f"--alpha {float(alpha)}" in captured.err
+        assert f"--smooth-l {float(smooth_l)}" in captured.err
+        assert "floating-point range" in captured.err
+        assert captured.out == ""
+
+    def test_coupled_value_is_quoted_as_written(self, tmp_path):
+        text = minimal_config(tmp_path, coupled__mean_mode="init.zero")
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        message = str(info.value)
+        assert message.startswith("coupled.mean_mode must be")
+        assert "got 'init.zero'" in message
+
+    def test_couple_decay_violation_exits_4(self, tmp_path, capsys, monkeypatch):
+        # A contraction factor far below the true one puts the certified cap
+        # under the measured coupling distance at the first step.
+        monkeypatch.setattr("minmax_langevin.cli.contraction_factor",
+                            lambda alpha, smooth_l, eta: 0.5)
+        cfg_path = tmp_path / "couple.cfg"
+        cfg_path.write_text(minimal_config(
+            tmp_path, checkpoint_every=10,
+            init__mean_mode="explicit", init__mean="[0.0, 0.0]",
+            coupled__mean_mode="explicit", coupled__mean="[0.25, 0.25]",
+        ))
+        assert main(["couple", "--config", str(cfg_path),
+                     "--output-dir", str(tmp_path / "c")]) == 4
+        assert "coupling decay violated at step 10" in capsys.readouterr().err
+
+    def test_check_failure_exits_4(self, capsys, monkeypatch):
+        from minmax_langevin.checks import CheckResult
+        results = [CheckResult("ok", True, "fine"),
+                   CheckResult("broken", False, "worst 2 > 1")]
+        monkeypatch.setattr("minmax_langevin.cli.run_all_checks",
+                            lambda seed: results)
+        assert main(["check", "--seed", "5"]) == 4
+        captured = capsys.readouterr()
+        assert "[PASS] ok: fine" in captured.out
+        assert "[FAIL] broken: worst 2 > 1" in captured.out
+        assert "1 property check(s) failed" in captured.err
+
+    def test_equilibrium_on_perturbed_payoff(self, tmp_path, capsys):
+        text = minimal_config(tmp_path, payoff__amplitude="0.1",
+                              payoff__frequency="1.0")
+        text = text.replace("payoff.kind = QuadraticBilinear",
+                            "payoff.kind = PerturbedQuadratic")
+        cfg_path = tmp_path / "pert.cfg"
+        cfg_path.write_text(text)
+        assert main(["equilibrium", "--config", str(cfg_path)]) == 0
+        out = capsys.readouterr().out
+        assert "z* (x*):" in out and "z* (y*):" in out
+        assert "no closed-form equilibrium distribution" in out
+        assert "nu_X" not in out
