@@ -56,7 +56,6 @@ from .metrics import (
     gaussian_kl,
     gaussian_relative_fi,
     gaussian_w2,
-    sliced_w2,
 )
 from .config import (
     ConfigError,
@@ -110,7 +109,6 @@ __all__ = [
     "gaussian_w2",
     "gaussian_relative_fi",
     "empirical_w2_1d",
-    "sliced_w2",
     "ConfigError",
     "InitSpec",
     "ExperimentConfig",

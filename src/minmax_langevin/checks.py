@@ -9,6 +9,10 @@ quadratic binds with equality).
 The three pair inequalities of the drift b_Z (strong monotonicity, 2L
 Lipschitz, contraction of z + eta b_Z(z)) share one probe sweep,
 :func:`_worst_over_pairs`, and supply only their per-pair statistic.
+
+Every suite reduces its per-sample statistics with ``np.max``/``np.min``,
+which propagate NaN, so a NaN sample fails its bound instead of being
+skipped; a suite asked for fewer than one sample raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -68,18 +72,20 @@ def _worst_over_pairs(spec, tag: str, seed: int, pairs: int, n: int, statistic):
     Each chunk of m pairs is one ``tag`` stream block, scaled by 2, of 2m
     joint vectors in R^{2nd}: z1 then z2, with b1, b2 the drift b_Z at them.
     """
+    if pairs < 1:
+        raise ValueError("pairs must be at least 1")
     stream = _stream(seed, tag)
     d = spec.dim
     width = 2 * n * d
-    worst = -np.inf
+    stats = []
     for start in range(0, pairs, _PROBE_CHUNK):
         m = min(_PROBE_CHUNK, pairs - start)
         z = 2.0 * standard_normal_block(stream, 2 * m * width).reshape(2 * m, width)
         z1, z2 = z[:m], z[m:]
         b1 = batched_joint_drift(spec, z1, n, d)
         b2 = batched_joint_drift(spec, z2, n, d)
-        worst = max(worst, float(np.max(statistic(z1, z2, b1, b2))))
-    return worst
+        stats.append(statistic(z1, z2, b1, b2))
+    return float(np.max(np.concatenate(stats)))
 
 
 def _stretch(dv, z1, z2):
@@ -89,20 +95,22 @@ def _stretch(dv, z1, z2):
     )
 
 
-def _random_gaussian(stream, dim: int, ridge: float) -> GaussianDist:
-    """N(m, R R'/dim + ridge I) with m and R drawn standard normal."""
-    mean = standard_normal_block(stream, dim)
-    raw = standard_normal_block(stream, dim * dim).reshape(dim, dim)
-    return GaussianDist(mean=mean, cov=raw @ raw.T / dim + ridge * np.eye(dim))
+def _random_gaussians(stream, count: int, dim: int, ridge: float) -> list:
+    """``count`` Gaussians N(m, R R'/dim + ridge I), m and R drawn standard
+    normal: one stream block holds each Gaussian's m, then R row by row."""
+    draws = standard_normal_block(stream, count * (dim + 1) * dim)
+    return [
+        GaussianDist(mean=g[0], cov=g[1:] @ g[1:].T / dim + ridge * np.eye(dim))
+        for g in draws.reshape(count, dim + 1, dim)
+    ]
 
 
 def check_gradients(spec: PayoffSpec, tol: float, seed: int = 0, points: int = 100):
-    stream = _stream(seed, "gradcheck")
-    worst = 0.0
-    for _ in range(points):
-        x = standard_normal_block(stream, spec.dim)
-        y = standard_normal_block(stream, spec.dim)
-        worst = max(worst, check_gradient_fd(spec, x, y, h=1e-5))
+    if points < 1:
+        raise ValueError("points must be at least 1")
+    draws = standard_normal_block(_stream(seed, "gradcheck"), 2 * points * spec.dim)
+    worst = float(np.max([check_gradient_fd(spec, x, y, h=1e-5)
+                          for x, y in draws.reshape(points, 2, spec.dim)]))
     return CheckResult(
         name=f"gradient_fd[{type(spec).__name__}]",
         passed=worst <= tol,
@@ -176,15 +184,11 @@ def check_permutation_equivariance(spec: PayoffSpec, seed: int = 0, n: int = 6):
     from .dynamics import drift_particles
 
     vec = 2.0 * standard_normal_block(_stream(seed, "permute"), 2 * n * spec.dim)
-    state = ParticleState.from_joint_vector(vec, n, spec.dim)
+    xs, ys = vec.reshape(2, n, spec.dim)
     perm = np.arange(n)[::-1]
-    permuted = ParticleState(xs=state.xs[perm], ys=state.ys[perm], step=state.step)
-    b_x, b_y = drift_particles(spec, state)
-    pb_x, pb_y = drift_particles(spec, permuted)
-    err = max(
-        float(np.max(np.abs(b_x[perm] - pb_x))),
-        float(np.max(np.abs(b_y[perm] - pb_y))),
-    )
+    b_x, b_y = drift_particles(spec, ParticleState(xs=xs, ys=ys))
+    pb_x, pb_y = drift_particles(spec, ParticleState(xs=xs[perm], ys=ys[perm]))
+    err = float(np.max(np.abs(np.stack([b_x[perm] - pb_x, b_y[perm] - pb_y]))))
     return CheckResult(
         name=f"permutation_equivariance[{type(spec).__name__}]",
         passed=err <= 1e-12,
@@ -194,9 +198,8 @@ def check_permutation_equivariance(spec: PayoffSpec, seed: int = 0, n: int = 6):
 
 def check_gd_envelope(spec: PayoffSpec, seed: int = 0, steps: int = 500):
     """Min-max GD stays below exp(-alpha eta k) * initial squared distance."""
-    stream = _stream(seed, "gd-envelope")
-    x = standard_normal_block(stream, spec.dim)
-    y = standard_normal_block(stream, spec.dim)
+    draws = standard_normal_block(_stream(seed, "gd-envelope"), 2 * spec.dim)
+    x, y = draws.reshape(2, spec.dim)
     try:
         gd_rate_audit(spec, JointPoint(x=x, y=y), spec.constants().eta_gd, steps)
         ok, detail = True, f"{steps} steps below envelope"
@@ -214,19 +217,20 @@ def check_functional_inequalities(seed: int = 0, pairs: int = 200):
     Gaussian p:  KL(p||nu) >= (alpha/(2 tau)) W2(p, nu)^2  and
     FI(p||nu) >= 2 (alpha/tau) KL(p||nu).
     """
+    if pairs < 1:
+        raise ValueError("pairs must be at least 1")
     quad, _ = default_specs(dim=2)
     tau = 0.7
     nu = joint_equilibrium(quad, tau)
     alpha = quad.constants().alpha
-    stream = _stream(seed, "functional")
-    worst_t = worst_ls = np.inf
-    for _ in range(pairs):
-        p = _random_gaussian(stream, nu.dim, 0.05)
+    slack_t, slack_ls = [], []
+    for p in _random_gaussians(_stream(seed, "functional"), pairs, nu.dim, 0.05):
         kl = gaussian_kl(p, nu)
         w2 = gaussian_w2(p, nu)
         fi = gaussian_relative_fi(p, nu)
-        worst_t = min(worst_t, kl - (alpha / (2.0 * tau)) * w2 + _REL_SLACK * (1 + kl))
-        worst_ls = min(worst_ls, fi - 2.0 * (alpha / tau) * kl + _REL_SLACK * (1 + fi))
+        slack_t.append(kl - (alpha / (2.0 * tau)) * w2 + _REL_SLACK * (1 + kl))
+        slack_ls.append(fi - 2.0 * (alpha / tau) * kl + _REL_SLACK * (1 + fi))
+    worst_t, worst_ls = float(np.min(slack_t)), float(np.min(slack_ls))
     ok = worst_t >= 0.0 and worst_ls >= 0.0
     return CheckResult(
         name="talagrand_and_log_sobolev",
@@ -236,13 +240,12 @@ def check_functional_inequalities(seed: int = 0, pairs: int = 200):
 
 
 def check_w2_triangle(seed: int = 0, triples: int = 100, dim: int = 3):
-    stream = _stream(seed, "triangle")
-    worst = -np.inf
-    for _ in range(triples):
-        p, q, r = (_random_gaussian(stream, dim, 0.1) for _ in range(3))
-        lhs = np.sqrt(gaussian_w2(p, r))
-        rhs = np.sqrt(gaussian_w2(p, q)) + np.sqrt(gaussian_w2(q, r))
-        worst = max(worst, lhs - rhs)
+    if triples < 1:
+        raise ValueError("triples must be at least 1")
+    gs = _random_gaussians(_stream(seed, "triangle"), 3 * triples, dim, 0.1)
+    w = np.sqrt([[gaussian_w2(p, r), gaussian_w2(p, q), gaussian_w2(q, r)]
+                 for p, q, r in zip(gs[::3], gs[1::3], gs[2::3])])
+    worst = float(np.max(w[:, 0] - (w[:, 1] + w[:, 2])))  # W2(p,r) - W2(p,q) - W2(q,r)
     return CheckResult(
         name="gaussian_w2_triangle",
         passed=worst <= _REL_SLACK,
@@ -260,15 +263,14 @@ def check_second_moment_stability(seed: int = 0):
     eta = c.alpha / (8.0 * c.smooth_L**2)
     params = AlgorithmParams(eta=eta, tau=tau, n_particles=n, steps=steps)
     z_star, _ = solve_equilibrium(quad)
-    z_star_rep = replicate_point(z_star, n).joint_vector()
-    stream = _stream(seed, "moment-init")
-    init = ParticleState.from_joint_vector(
-        z_star_rep + standard_normal_block(stream, 2 * n), n, 1
-    )
+    z_rep = replicate_point(z_star, n)
+    z_star_rep = np.stack([z_rep.xs, z_rep.ys])  # (2, n, d): x block, y block
+    noise = standard_normal_block(_stream(seed, "moment-init"), 2 * n * d)
+    xs, ys = z_star_rep + noise.reshape(2, n, d)
     checkpoints, _ = run_algorithm(
-        quad, init, params, seed=seed, checkpoint_every=1,
+        quad, ParticleState(xs=xs, ys=ys), params, seed=seed, checkpoint_every=1,
         on_checkpoint=lambda k, s: float(
-            np.sum((s.joint_vector() - z_star_rep) ** 2)
+            np.sum((np.stack([s.xs, s.ys]) - z_star_rep) ** 2)
         ),
     )
     sq = [v for _, v in checkpoints]

@@ -178,6 +178,13 @@ def _cmd_gradcheck(args) -> int:
     return EXIT_PROPERTY if _report(results) else EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minmax-langevin",
@@ -217,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--points", type=int, default=100)
+    p.add_argument("--points", type=_positive_int, default=100)
     p.add_argument("--dim", type=int, default=2)
     p.set_defaults(func=_cmd_gradcheck)
     return parser

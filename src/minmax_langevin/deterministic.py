@@ -105,7 +105,7 @@ def solve_equilibrium(
     family runs gradient descent-ascent at eta = alpha / (4 L^2) from the
     base-quadratic solution.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     if isinstance(spec, QuadraticBilinear):
         z = _solve_quadratic(spec)

@@ -110,17 +110,6 @@ class ParticleState:
         """System ``i`` of a stacked state, as (N, d) views."""
         return ParticleState(xs=self.xs[i], ys=self.ys[i], step=self.step)
 
-    def joint_vector(self) -> np.ndarray:
-        """Flattened z = (x^1..x^N, y^1..y^N) in R^{2dN}."""
-        return np.concatenate([self.xs.ravel(), self.ys.ravel()])
-
-    @classmethod
-    def from_joint_vector(cls, z, n: int, d: int, step: int = 0) -> "ParticleState":
-        z = np.asarray(z, dtype=float)
-        if z.size != 2 * n * d:
-            raise ValueError(f"joint vector must have length {2 * n * d}")
-        return cls(xs=z[: n * d].reshape(n, d), ys=z[n * d :].reshape(n, d), step=step)
-
     def pairs(self) -> np.ndarray:
         """Per-particle joint samples (x^i, y^i) as an (..., N, 2d) array."""
         return np.concatenate([self.xs, self.ys], axis=-1)
@@ -131,6 +120,10 @@ def replicate_point(z: JointPoint, n: int, step: int = 0) -> ParticleState:
     return ParticleState(
         xs=np.tile(z.x, (n, 1)), ys=np.tile(z.y, (n, 1)), step=step
     )
+
+
+# Particle and step counts size numpy arrays and loop ranges: int64 at most.
+_MAX_COUNT = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -154,10 +147,10 @@ class AlgorithmParams:
             raise ValueError("eta must be positive")
         if not self.tau >= 0.0:
             raise ValueError("tau must be nonnegative")
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be at least 1")
-        if self.steps < 0:
-            raise ValueError("steps must be nonnegative")
+        if not 1 <= self.n_particles <= _MAX_COUNT:
+            raise ValueError(f"n_particles must be between 1 and {_MAX_COUNT}")
+        if not 0 <= self.steps <= _MAX_COUNT:
+            raise ValueError(f"steps must be between 0 and {_MAX_COUNT}")
 
     def validate_for(self, spec: PayoffSpec) -> None:
         c = spec.constants()
@@ -330,9 +323,9 @@ def load_snapshot(path) -> ParticleState:
 
 
 def coupling_distance_sq(pair: ParticleState) -> float:
-    """``|z^A - z^B|^2`` between the two systems of a stacked pair."""
-    a, b = pair.system(0), pair.system(1)
-    return float(np.sum((a.joint_vector() - b.joint_vector()) ** 2))
+    """``|z^A - z^B|^2`` of a stacked pair, summed in z = (x^1..x^N, y^1..y^N) order."""
+    xs, ys = pair.xs, pair.ys
+    return float(np.sum(np.stack([xs[0] - xs[1], ys[0] - ys[1]]) ** 2))
 
 
 def coupled_contraction_run(

@@ -3,7 +3,7 @@
 Closed-form divergences between Gaussians (KL, squared Wasserstein-2,
 relative Fisher information) evaluate the theory envelopes exactly; the
 empirical side is a Gaussian plug-in fit (sample mean and covariance) plus
-exact 1-d optimal transport and its sliced multi-d extension.
+exact 1-d optimal transport.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import GaussianDist
-from .rng import NoiseStream, create_stream, derive_stream_id, standard_normal_block
+# standard_normal_block stays bound: perfbench/tracer.py patches it by name.
+from .rng import standard_normal_block
 
 __all__ = [
     "MetricsRecord",
@@ -22,13 +23,10 @@ __all__ = [
     "gaussian_w2",
     "gaussian_relative_fi",
     "empirical_w2_1d",
-    "sliced_w2",
 ]
 
 # Eigenvalues below this are treated as zero when rooting covariances.
 _PSD_CLIP = 1e-12
-
-DEFAULT_N_PROJECTIONS = 64
 
 
 @dataclass
@@ -139,32 +137,3 @@ def empirical_w2_1d(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError("samples must be nonempty and of equal length")
     diff = np.sort(a) - np.sort(b)
     return float(np.sqrt(np.mean(diff**2)))
-
-
-def sliced_w2(
-    a: np.ndarray,
-    b: np.ndarray,
-    n_projections: int = DEFAULT_N_PROJECTIONS,
-    stream: NoiseStream | None = None,
-) -> float:
-    """Root-mean of squared 1-d W2 over random unit projection directions.
-
-    Directions are drawn from ``stream`` so the estimate is deterministic for
-    a fixed stream state; a fresh default stream is used when none is given.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 2:
-        raise ValueError("samples must be (n, m) matrices of identical shape")
-    if n_projections < 1:
-        raise ValueError("n_projections must be at least 1")
-    if stream is None:
-        stream = create_stream(0, derive_stream_id("sliced-w2", 0, 0))
-    m = a.shape[1]
-    total = 0.0
-    for _ in range(n_projections):
-        direction = standard_normal_block(stream, m)
-        direction = direction / np.linalg.norm(direction)
-        w = empirical_w2_1d(a @ direction, b @ direction)
-        total += w * w
-    return float(np.sqrt(total / n_projections))

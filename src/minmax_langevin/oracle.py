@@ -96,7 +96,7 @@ def gaussian_best_response(
     through its mean (and symmetrically for the other player).
     """
     spec = _require_quadratic(spec)
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise ValueError("tau must be positive")
     nu_x = GaussianDist(
         mean=np.linalg.solve(spec.A, -(spec.C @ rho_y.mean + spec.u)),
@@ -112,7 +112,7 @@ def gaussian_best_response(
 def quadratic_equilibrium(spec: PayoffSpec, tau: float):
     """The equilibrium pair (nu_X, nu_Y) = (N(x*, tau A^-1), N(y*, tau B^-1))."""
     spec = _require_quadratic(spec)
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise ValueError("tau must be positive")
     z_star, _ = solve_equilibrium(spec)
     nu_x = GaussianDist(mean=z_star.x, cov=tau * np.linalg.inv(spec.A))
@@ -133,6 +133,8 @@ def joint_equilibrium(spec: PayoffSpec, tau: float) -> GaussianDist:
 def equilibrium_variance(spec: PayoffSpec, tau: float) -> float:
     """Exact equilibrium variance tr(tau A^-1) + tr(tau B^-1)."""
     spec = _require_quadratic(spec)
+    if not tau > 0.0:
+        raise ValueError("tau must be positive")
     return float(
         tau * np.trace(np.linalg.inv(spec.A)) + tau * np.trace(np.linalg.inv(spec.B))
     )
@@ -256,7 +258,7 @@ def kl_bias_bound(
     tr(tau A^-1) + tr(tau B^-1)) or the 2 tau d / alpha bound.
     """
     Constants(alpha, smooth_l)
-    if not (tau > 0.0 and eta > 0.0) or d < 1 or n_particles < 1:
+    if not (tau > 0.0 and eta > 0.0 and var_value > 0.0) or d < 1 or n_particles < 1:
         raise ValueError("parameters must be positive")
     first = 45.0 * smooth_l**4 * var_value / (alpha**3 * tau * n_particles)
     second = 2475.0 * eta * d * smooth_l**4 / alpha**3
@@ -282,7 +284,7 @@ def transient_kl_envelope(
     initialization from the tensorized equilibrium (for i.i.d. Gaussian
     initialization, N times the per-particle quantities).
     """
-    if min(initial_kl, initial_w2_sq, bias) < 0.0:
+    if not (initial_kl >= 0.0 and initial_w2_sq >= 0.0 and bias >= 0.0):
         raise ValueError("divergences and bias must be nonnegative")
     Constants(alpha, smooth_l)
     if not (tau > 0.0 and eta > 0.0) or k < 0 or n_particles < 1:

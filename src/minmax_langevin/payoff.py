@@ -239,23 +239,17 @@ def check_gradient_fd(spec: PayoffSpec, x, y, h: float = 1e-5) -> float:
     """Max deviation of the analytic gradient from central finite differences.
 
     Deviations are measured per component relative to max(1, |component|),
-    so near-zero gradient components are compared absolutely.
+    so near-zero gradient components are compared absolutely.  A NaN
+    gradient or value gives NaN, which fails every ``<= tol`` test.
     """
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError("finite-difference step h must be positive")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    gx = spec.grad_x(x, y)
-    gy = spec.grad_y(x, y)
-    worst = 0.0
-    for k in range(spec.dim):
-        e = np.zeros(spec.dim)
-        e[k] = h
-        fd_x = (spec.value(x + e, y) - spec.value(x - e, y)) / (2.0 * h)
-        fd_y = (spec.value(x, y + e) - spec.value(x, y - e)) / (2.0 * h)
-        worst = max(
-            worst,
-            abs(fd_x - gx[k]) / max(1.0, abs(gx[k])),
-            abs(fd_y - gy[k]) / max(1.0, abs(gy[k])),
-        )
-    return float(worst)
+    grad = np.stack([spec.grad_x(x, y), spec.grad_y(x, y)])
+    fd = np.empty_like(grad)
+    for k, e in enumerate(h * np.eye(spec.dim)):
+        fd[0, k] = spec.value(x + e, y) - spec.value(x - e, y)
+        fd[1, k] = spec.value(x, y + e) - spec.value(x, y - e)
+    deviation = np.abs(fd / (2.0 * h) - grad) / np.maximum(1.0, np.abs(grad))
+    return float(np.max(deviation))

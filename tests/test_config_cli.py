@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from minmax_langevin import (
+    AlgorithmParams,
     ConfigError,
     KeyedNoise,
     coupled_contraction_run,
@@ -467,6 +468,42 @@ class TestCliEdgePaths:
         assert f"--smooth-l {float(smooth_l)}" in captured.err
         assert "floating-point range" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("points", ["0", "-5"])
+    def test_gradcheck_rejects_nonpositive_points(self, points, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["gradcheck", "--points", points])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert "--points: must be a positive integer" in captured.err
+        assert captured.out == ""
+
+    def test_plan_with_unrunnable_counts_is_config_error(self, capsys):
+        code = main(["plan", "--alpha", "1", "--smooth-l", "1", "--tau", "1",
+                     "--dim", "1", "--eps", "1e-300"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: n_particles must be between 1 "
+                                       "and 9223372036854775807")
+        assert captured.out == ""
+
+    def test_run_with_unrunnable_particle_count_is_config_error(self, tmp_path,
+                                                                capsys):
+        cfg_path = tmp_path / "huge.cfg"
+        cfg_path.write_text(config_with(tmp_path, {"algorithm.n_particles": str(10**20)}))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: algorithm: n_particles must be between"
+        )
+        assert not (tmp_path / "run").exists()
+
+    def test_algorithm_counts_stop_at_int64_max(self):
+        top = int(np.iinfo(np.int64).max)
+        AlgorithmParams(eta=0.01, tau=1.0, n_particles=top, steps=top)
+        with pytest.raises(ValueError, match="n_particles must be between"):
+            AlgorithmParams(eta=0.01, tau=1.0, n_particles=top + 1, steps=1)
+        with pytest.raises(ValueError, match="steps must be between"):
+            AlgorithmParams(eta=0.01, tau=1.0, n_particles=1, steps=top + 1)
 
     def test_coupled_value_is_quoted_as_written(self, tmp_path):
         text = minimal_config(tmp_path, coupled__mean_mode="init.zero")

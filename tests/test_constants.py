@@ -8,12 +8,18 @@ import pytest
 
 from minmax_langevin import (
     AlgorithmParams,
+    GaussianDist,
     PerturbedQuadratic,
     QuadraticBilinear,
+    check_gradient_fd,
+    equilibrium_variance,
+    gaussian_best_response,
     kl_bias_bound,
     parse_config,
     plan_parameters,
+    quadratic_equilibrium,
     run_experiment,
+    solve_equilibrium,
     transient_kl_envelope,
     variance_and_fisher_bounds,
 )
@@ -152,3 +158,37 @@ class TestNanParameters:
             transient_kl_envelope(3.0, 2.0, 1.0, 1.0, NAN, 0.1, 0, 0.0, 4)
         with pytest.raises(ValueError):
             transient_kl_envelope(3.0, 2.0, 1.0, 1.0, 1.0, NAN, 0, 0.0, 4)
+
+    def test_best_response_rejects_nan_tau(self):
+        rho = GaussianDist.isotropic(np.zeros(2), 1.0)
+        with pytest.raises(ValueError, match="tau must be positive"):
+            gaussian_best_response(ORTHOGONAL_START[0][0], NAN, rho, rho)
+
+    def test_quadratic_equilibrium_rejects_nan_tau(self):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            quadratic_equilibrium(ORTHOGONAL_START[0][0], NAN)
+
+    def test_equilibrium_variance_rejects_nan_tau(self):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            equilibrium_variance(ORTHOGONAL_START[0][0], NAN)
+
+    @pytest.mark.parametrize("position", [0, 1, 7], ids=["kl", "w2", "bias"])
+    def test_transient_envelope_rejects_nan_divergence_or_bias(self, position):
+        args = [3.0, 2.0, 1.0, 1.0, 1.0, 0.1, 0, 0.0, 4]
+        args[position] = NAN
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            transient_kl_envelope(*args)
+
+    def test_kl_bias_bound_rejects_nan_variance(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            kl_bias_bound(1.0, 1.0, 1.0, 1, 8, 0.01, NAN)
+
+    def test_solve_equilibrium_rejects_nan_tol(self):
+        pert = PerturbedQuadratic(base=ORTHOGONAL_START[0][0], amplitude=0.1,
+                                  frequency=1.0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve_equilibrium(pert, tol=NAN, max_iters=10)
+
+    def test_gradient_fd_rejects_nan_step(self):
+        with pytest.raises(ValueError, match="step h must be positive"):
+            check_gradient_fd(ORTHOGONAL_START[0][0], np.zeros(2), np.zeros(2), h=NAN)

@@ -25,7 +25,7 @@ from minmax_langevin.checks import (
     check_second_moment_stability,
     default_specs,
 )
-from minmax_langevin.dynamics import batched_joint_drift
+from minmax_langevin.dynamics import batched_joint_drift, coupling_distance_sq
 
 
 def scalar_quadratic(c=1.0):
@@ -111,7 +111,7 @@ class TestDrift:
         zs = rng.normal(size=(6, 2 * 4 * 2))
         batched = batched_joint_drift(spec, zs, 4, 2)
         for row, z in zip(batched, zs):
-            state = ParticleState.from_joint_vector(z, 4, 2)
+            state = ParticleState(xs=z[:8].reshape(4, 2), ys=z[8:].reshape(4, 2))
             np.testing.assert_allclose(row, joint_drift(spec, state), atol=1e-14)
             ref_x, ref_y = pairwise_drift(spec, state.xs, state.ys)
             np.testing.assert_allclose(
@@ -336,6 +336,17 @@ class TestCoupled:
             ratio = distances[k + 1] / distances[k]
             assert ratio == pytest.approx(0.81, rel=1e-12)
             assert ratio <= m_sq
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("n", [1, 7, 600])
+    def test_coupling_distance_bytes_match_flat_joint_vectors(self, n, d):
+        # |z^A - z^B|^2 over z = (x^1..x^N, y^1..y^N), summed as one flat vector.
+        rng = np.random.default_rng(10 * n + d)
+        xs, ys = rng.normal(size=(2, 2, n, d))
+        flat = [np.concatenate([xs[i].ravel(), ys[i].ravel()]) for i in (0, 1)]
+        expected = float(np.sum((flat[0] - flat[1]) ** 2))
+        got = coupling_distance_sq(ParticleState(xs=xs, ys=ys))
+        assert got.hex() == expected.hex()
 
     def test_rejects_uncertified_step_size(self):
         q = scalar_quadratic(c=0.0)  # alpha = L = 1

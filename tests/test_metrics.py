@@ -14,7 +14,6 @@ from minmax_langevin import (
     gaussian_kl,
     gaussian_relative_fi,
     gaussian_w2,
-    sliced_w2,
     standard_normal_block,
 )
 from minmax_langevin.checks import (
@@ -182,35 +181,6 @@ class TestEmpiricalW2:
         empirical = empirical_w2_1d(a, b) ** 2
         closed = gaussian_w2(gauss1(0, 1), gauss1(1, 2.25))
         assert empirical == pytest.approx(closed, rel=0.05)
-
-
-class TestSlicedW2:
-    def test_identical_samples(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(50, 3))
-        stream = create_stream(1, 2)
-        assert sliced_w2(a, a.copy(), 8, stream) == 0.0
-
-    def test_one_dimension_matches_exact(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(64, 1))
-        b = rng.normal(size=(64, 1)) + 0.7
-        stream = create_stream(5, 6)
-        assert sliced_w2(a, b, 16, stream) == pytest.approx(
-            empirical_w2_1d(a.ravel(), b.ravel()), rel=1e-12
-        )
-
-    def test_deterministic_given_stream(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(40, 2))
-        b = rng.normal(size=(40, 2)) + 0.3
-        v1 = sliced_w2(a, b, 12, create_stream(7, 8))
-        v2 = sliced_w2(a, b, 12, create_stream(7, 8))
-        assert v1 == v2
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            sliced_w2(np.zeros((3, 2)), np.zeros((4, 2)), 4, create_stream(0, 0))
 
 
 def test_talagrand_and_log_sobolev_probe():
