@@ -31,7 +31,8 @@ from .dynamics import (
 )
 from .metrics import gaussian_kl, gaussian_relative_fi, gaussian_w2
 from .oracle import GaussianDist, joint_equilibrium
-from .payoff import PayoffSpec, PerturbedQuadratic, QuadraticBilinear, check_gradient_fd
+from .payoff import (PayoffSpec, PerturbedQuadratic, QuadraticBilinear,
+                     check_gradient_fd, require)
 from .rng import (KeyedNoise, _philox_words, _role_code, _words_to_normals,
                   create_stream, derive_stream_id, standard_normal_block)
 
@@ -72,8 +73,7 @@ def _worst_over_pairs(spec, tag: str, seed: int, pairs: int, n: int, statistic):
     Each chunk of m pairs is one ``tag`` stream block, scaled by 2, of 2m
     joint vectors in R^{2nd}: z1 then z2, with b1, b2 the drift b_Z at them.
     """
-    if pairs < 1:
-        raise ValueError("pairs must be at least 1")
+    require("at least 1", pairs=pairs)
     stream = _stream(seed, tag)
     d = spec.dim
     width = 2 * n * d
@@ -106,8 +106,7 @@ def _random_gaussians(stream, count: int, dim: int, ridge: float) -> list:
 
 
 def check_gradients(spec: PayoffSpec, tol: float, seed: int = 0, points: int = 100):
-    if points < 1:
-        raise ValueError("points must be at least 1")
+    require("at least 1", points=points)
     draws = standard_normal_block(_stream(seed, "gradcheck"), 2 * points * spec.dim)
     worst = float(np.max([check_gradient_fd(spec, x, y, h=1e-5)
                           for x, y in draws.reshape(points, 2, spec.dim)]))
@@ -217,8 +216,7 @@ def check_functional_inequalities(seed: int = 0, pairs: int = 200):
     Gaussian p:  KL(p||nu) >= (alpha/(2 tau)) W2(p, nu)^2  and
     FI(p||nu) >= 2 (alpha/tau) KL(p||nu).
     """
-    if pairs < 1:
-        raise ValueError("pairs must be at least 1")
+    require("at least 1", pairs=pairs)
     quad, _ = default_specs(dim=2)
     tau = 0.7
     nu = joint_equilibrium(quad, tau)
@@ -240,8 +238,7 @@ def check_functional_inequalities(seed: int = 0, pairs: int = 200):
 
 
 def check_w2_triangle(seed: int = 0, triples: int = 100, dim: int = 3):
-    if triples < 1:
-        raise ValueError("triples must be at least 1")
+    require("at least 1", triples=triples)
     gs = _random_gaussians(_stream(seed, "triangle"), 3 * triples, dim, 0.1)
     w = np.sqrt([[gaussian_w2(p, r), gaussian_w2(p, q), gaussian_w2(q, r)]
                  for p, q, r in zip(gs[::3], gs[1::3], gs[2::3])])

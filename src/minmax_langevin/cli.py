@@ -67,7 +67,8 @@ def _plan_config(args, plan) -> ExperimentConfig:
 
 def _cmd_plan(args) -> int:
     flags = {"--" + dest.replace("_", "-"): getattr(args, dest)
-             for dest in ("alpha", "smooth_l", "tau", "eps", "z_star_norm_sq")}
+             for dest in ("alpha", "smooth_l", "tau", "dim", "eps", "z_star_norm_sq")}
+    given = ", ".join(f"{flag} {value}" for flag, value in flags.items())
     try:
         for flag, value in flags.items():
             if not math.isfinite(value):
@@ -80,9 +81,10 @@ def _cmd_plan(args) -> int:
             text = serialize_config(_plan_config(args, plan))
         except (OverflowError, ZeroDivisionError) as exc:
             # args[-1] is the text; a float ** overflow puts an errno first.
-            given = ", ".join(f"{flag} {value}" for flag, value in flags.items())
             raise ValueError(f"the plan for {given} is outside floating-point "
                              f"range: {exc.args[-1]}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{exc}, in the plan for {given}") from exc
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -185,6 +187,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(
+            f"must be an unsigned 64-bit integer, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minmax-langevin",
@@ -219,13 +229,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_couple)
 
     p = sub.add_parser("check", help="run the property suites")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--points", type=_positive_int, default=100)
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=_positive_int, default=2)
     p.set_defaults(func=_cmd_gradcheck)
     return parser
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .payoff import PayoffSpec, QuadraticBilinear
+from .payoff import PayoffSpec, QuadraticBilinear, require
 
 __all__ = [
     "JointPoint",
@@ -65,8 +65,7 @@ def grad_norm(spec: PayoffSpec, z: JointPoint) -> float:
 
 def gd_step(spec: PayoffSpec, z: JointPoint, eta_gd: float) -> JointPoint:
     """One descent-ascent step; warns outside the certified rate regime."""
-    if eta_gd < 0.0:
-        raise ValueError("step size must be nonnegative")
+    require("nonnegative", eta_gd=eta_gd)
     if eta_gd > spec.constants().eta_gd:
         warnings.warn(
             "eta_gd exceeds alpha / (4 L^2); the exponential rate guarantee "
@@ -105,8 +104,8 @@ def solve_equilibrium(
     family runs gradient descent-ascent at eta = alpha / (4 L^2) from the
     base-quadratic solution.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    require("positive", tol=tol)
+    require("nonnegative", max_iters=max_iters)
     if isinstance(spec, QuadraticBilinear):
         z = _solve_quadratic(spec)
         if grad_norm(spec, z) > tol:

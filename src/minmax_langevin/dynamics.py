@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deterministic import JointPoint
-from .payoff import PayoffSpec
+from .payoff import Constants, PayoffSpec, require
 from .rng import KeyedNoise
 
 __all__ = [
@@ -84,8 +84,7 @@ class ParticleState:
                 f"xs and ys must share shape (..., N, d), got {xs.shape} "
                 f"and {ys.shape}"
             )
-        if self.step < 0:
-            raise ValueError("step must be nonnegative")
+        require("nonnegative", step=self.step)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
@@ -143,10 +142,8 @@ class AlgorithmParams:
     strict_eta: bool = False
 
     def __post_init__(self):
-        if not self.eta > 0.0:
-            raise ValueError("eta must be positive")
-        if not self.tau >= 0.0:
-            raise ValueError("tau must be nonnegative")
+        require("positive", eta=self.eta)
+        require("nonnegative", tau=self.tau)
         if not 1 <= self.n_particles <= _MAX_COUNT:
             raise ValueError(f"n_particles must be between 1 and {_MAX_COUNT}")
         if not 0 <= self.steps <= _MAX_COUNT:
@@ -214,6 +211,8 @@ def contraction_factor(alpha: float, smooth_l: float, eta: float) -> float:
 
     Valid (and in [0, 1]) for eta <= alpha / (2 L^2).
     """
+    Constants(alpha, smooth_l)
+    require("positive", eta=eta)
     m_sq = 1.0 - 2.0 * eta * alpha + 4.0 * eta**2 * smooth_l**2
     return float(np.sqrt(max(m_sq, 0.0)))
 
@@ -248,12 +247,6 @@ def step_algorithm(
     return ParticleState(xs=xs, ys=ys, step=state.step + 1)
 
 
-def _checkpoint_steps(steps: int, every: int):
-    marks = set(range(0, steps + 1, every))
-    marks.add(steps)
-    return marks
-
-
 def run_algorithm(
     spec: PayoffSpec,
     init: ParticleState,
@@ -272,23 +265,19 @@ def run_algorithm(
 
     Returns ``(checkpoints, final_state)``.
     """
-    if checkpoint_every < 1:
-        raise ValueError("checkpoint_every must be at least 1")
+    require("at least 1", checkpoint_every=checkpoint_every)
     params.validate_for(spec)
     if init.n_particles != params.n_particles:
         raise ValueError(
             f"init has {init.n_particles} particles, params say {params.n_particles}"
         )
     noise = KeyedNoise(seed)
-    marks = _checkpoint_steps(params.steps, checkpoint_every)
     record = (lambda k, s: s) if on_checkpoint is None else on_checkpoint
     state = init
-    checkpoints = []
-    if 0 in marks:
-        checkpoints.append((0, record(0, state)))
+    checkpoints = [(0, record(0, state))]
     for k in range(1, params.steps + 1):
         state = step_algorithm(spec, state, params, noise)
-        if k in marks:
+        if k % checkpoint_every == 0 or k == params.steps:
             checkpoints.append((k, record(k, state)))
     return checkpoints, state
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import GaussianDist
+from .payoff import require
 # standard_normal_block stays bound: perfbench/tracer.py patches it by name.
 from .rng import standard_normal_block
 
@@ -45,10 +46,9 @@ class MetricsRecord:
     bias_bound: float | None = None
 
     def __post_init__(self):
-        if self.kl_fit_to_eq is not None and self.kl_fit_to_eq < 0.0:
-            raise ValueError("KL divergence cannot be negative")
-        if self.w2_fit_to_eq_sq is not None and self.w2_fit_to_eq_sq < 0.0:
-            raise ValueError("squared W2 cannot be negative")
+        for name in ("kl_fit_to_eq", "w2_fit_to_eq_sq"):
+            if getattr(self, name) is not None:
+                require("nonnegative", **{name: getattr(self, name)})
 
 
 def fit_gaussian(samples: np.ndarray):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deterministic import JointPoint, solve_equilibrium
-from .payoff import Constants, PayoffSpec, QuadraticBilinear
+from .payoff import Constants, PayoffSpec, QuadraticBilinear, require
 
 __all__ = [
     "GaussianDist",
@@ -62,6 +62,7 @@ class GaussianDist:
     @classmethod
     def isotropic(cls, mean, scale: float) -> "GaussianDist":
         """Shorthand for N(mean, scale * I)."""
+        require("nonnegative", scale=scale)
         mean = np.asarray(mean, dtype=float)
         return cls(mean=mean, cov=scale * np.eye(mean.shape[0]))
 
@@ -96,8 +97,7 @@ def gaussian_best_response(
     through its mean (and symmetrically for the other player).
     """
     spec = _require_quadratic(spec)
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
+    require("positive", tau=tau)
     nu_x = GaussianDist(
         mean=np.linalg.solve(spec.A, -(spec.C @ rho_y.mean + spec.u)),
         cov=tau * np.linalg.inv(spec.A),
@@ -112,8 +112,7 @@ def gaussian_best_response(
 def quadratic_equilibrium(spec: PayoffSpec, tau: float):
     """The equilibrium pair (nu_X, nu_Y) = (N(x*, tau A^-1), N(y*, tau B^-1))."""
     spec = _require_quadratic(spec)
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
+    require("positive", tau=tau)
     z_star, _ = solve_equilibrium(spec)
     nu_x = GaussianDist(mean=z_star.x, cov=tau * np.linalg.inv(spec.A))
     nu_y = GaussianDist(mean=z_star.y, cov=tau * np.linalg.inv(spec.B))
@@ -133,8 +132,7 @@ def joint_equilibrium(spec: PayoffSpec, tau: float) -> GaussianDist:
 def equilibrium_variance(spec: PayoffSpec, tau: float) -> float:
     """Exact equilibrium variance tr(tau A^-1) + tr(tau B^-1)."""
     spec = _require_quadratic(spec)
-    if not tau > 0.0:
-        raise ValueError("tau must be positive")
+    require("positive", tau=tau)
     return float(
         tau * np.trace(np.linalg.inv(spec.A)) + tau * np.trace(np.linalg.inv(spec.B))
     )
@@ -152,8 +150,8 @@ class Plan:
     init_cov_scale: float
 
     def __post_init__(self):
-        if min(self.n_particles, self.iters, self.gd_iters) < 0:
-            raise ValueError("counts must be nonnegative")
+        require("nonnegative", n_particles=self.n_particles, iters=self.iters,
+                gd_iters=self.gd_iters)
 
 
 def _clamped_log(arg: float) -> float:
@@ -185,12 +183,9 @@ def plan_parameters(
     outside the guarantee regime; both are rejected.
     """
     c = Constants(alpha, smooth_l)
-    if not tau > 0.0 or d < 1:
-        raise ValueError("alpha, smooth_l, tau must be positive and d >= 1")
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
-    if not z_star_norm_sq >= 0.0:
-        raise ValueError("z_star_norm_sq must be nonnegative")
+    require("positive", tau=tau, eps=eps)
+    require("at least 1", d=d)
+    require("nonnegative", z_star_norm_sq=z_star_norm_sq)
     eta = eps * alpha**3 / (7500.0 * d * smooth_l**4)
     if eta > c.eta_strict:
         raise ValueError(
@@ -229,10 +224,9 @@ def variance_and_fisher_bounds(
     centered Gaussian initialization N(0, tau^2/L^2 I) to its best response.
     """
     Constants(alpha, smooth_l)
-    if not tau > 0.0 or d < 1:
-        raise ValueError("tau must be positive and d >= 1")
-    if not z_star_norm_sq >= 0.0:
-        raise ValueError("z_star_norm_sq must be nonnegative")
+    require("positive", tau=tau)
+    require("at least 1", d=d)
+    require("nonnegative", z_star_norm_sq=z_star_norm_sq)
     var_bound = 2.0 * tau * d / alpha
     fi_bound = (
         2.0 * d * (1.0 + smooth_l**2 / tau**2)
@@ -258,8 +252,8 @@ def kl_bias_bound(
     tr(tau A^-1) + tr(tau B^-1)) or the 2 tau d / alpha bound.
     """
     Constants(alpha, smooth_l)
-    if not (tau > 0.0 and eta > 0.0 and var_value > 0.0) or d < 1 or n_particles < 1:
-        raise ValueError("parameters must be positive")
+    require("positive", tau=tau, eta=eta, var_value=var_value)
+    require("at least 1", d=d, n_particles=n_particles)
     first = 45.0 * smooth_l**4 * var_value / (alpha**3 * tau * n_particles)
     second = 2475.0 * eta * d * smooth_l**4 / alpha**3
     return first + second
@@ -284,10 +278,10 @@ def transient_kl_envelope(
     initialization from the tensorized equilibrium (for i.i.d. Gaussian
     initialization, N times the per-particle quantities).
     """
-    if not (initial_kl >= 0.0 and initial_w2_sq >= 0.0 and bias >= 0.0):
-        raise ValueError("divergences and bias must be nonnegative")
+    require("nonnegative", initial_kl=initial_kl, initial_w2_sq=initial_w2_sq,
+            bias=bias, k=k)
     Constants(alpha, smooth_l)
-    if not (tau > 0.0 and eta > 0.0) or k < 0 or n_particles < 1:
-        raise ValueError("parameters must be positive and k nonnegative")
+    require("positive", tau=tau, eta=eta)
+    require("at least 1", n_particles=n_particles)
     transient = initial_kl + 9.0 * smooth_l**2 * initial_w2_sq / (alpha * tau)
     return math.exp(-alpha * eta * k) * transient / n_particles + bias

@@ -40,7 +40,22 @@ __all__ = [
     "PayoffSpec",
     "CONSTANTS_SCHEME",
     "check_gradient_fd",
+    "require",
 ]
+
+# Each rule is a comparison that NaN fails, so no rule lets a NaN through.
+_RULES = {"positive": lambda v: v > 0, "nonnegative": lambda v: v >= 0,
+          "at least 1": lambda v: v >= 1}
+
+
+def require(rule: str, **values) -> None:
+    """Raise ``ValueError("<name> must be <rule>")`` for the first of ``values``
+    that breaks ``rule``: "positive", "nonnegative" or "at least 1"."""
+    test = _RULES[rule]
+    for name, value in values.items():
+        if not test(value):
+            raise ValueError(f"{name} must be {rule}")
+
 
 # How the constants are computed, as run manifests record it; a change to the
 # computed alpha or L changes it.
@@ -105,8 +120,7 @@ class QuadraticBilinear:
     v: np.ndarray = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
+        require("at least 1", dim=self.dim)
         object.__setattr__(self, "A", _as_matrix(self.A, self.dim, "A"))
         object.__setattr__(self, "B", _as_matrix(self.B, self.dim, "B"))
         object.__setattr__(self, "C", _as_matrix(self.C, self.dim, "C"))
@@ -184,10 +198,8 @@ class PerturbedQuadratic:
     frequency: float
 
     def __post_init__(self):
-        if self.amplitude < 0.0:
-            raise ValueError("amplitude must be nonnegative")
-        if self.frequency <= 0.0:
-            raise ValueError("frequency must be positive")
+        require("nonnegative", amplitude=self.amplitude)
+        require("positive", frequency=self.frequency)
         shift = self.amplitude * self.frequency**2
         base = self.base.constants()
         if shift > 0.5 * base.alpha:
@@ -242,8 +254,7 @@ def check_gradient_fd(spec: PayoffSpec, x, y, h: float = 1e-5) -> float:
     so near-zero gradient components are compared absolutely.  A NaN
     gradient or value gives NaN, which fails every ``<= tol`` test.
     """
-    if not h > 0.0:
-        raise ValueError("finite-difference step h must be positive")
+    require("positive", **{"finite-difference step h": h})
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     grad = np.stack([spec.grad_x(x, y), spec.grad_y(x, y)])

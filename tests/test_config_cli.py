@@ -552,3 +552,32 @@ class TestCliEdgePaths:
         assert "z* (x*):" in out and "z* (y*):" in out
         assert "no closed-form equilibrium distribution" in out
         assert "nu_X" not in out
+
+    @pytest.mark.parametrize("argv, flag, rule", [
+        (["check", "--seed", "-1"], "--seed", "an unsigned 64-bit integer"),
+        (["check", "--seed", str(2**64)], "--seed", "an unsigned 64-bit integer"),
+        (["gradcheck", "--seed", "-1"], "--seed", "an unsigned 64-bit integer"),
+        (["gradcheck", "--dim", "0"], "--dim", "a positive integer"),
+        (["gradcheck", "--dim", "-1"], "--dim", "a positive integer"),
+    ], ids=["check-seed-negative", "check-seed-2**64", "gradcheck-seed",
+            "gradcheck-dim-0", "gradcheck-dim-negative"])
+    def test_bad_seed_or_dim_flag_exits_2_naming_it(self, argv, flag, rule, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"{flag}: must be {rule}, got {argv[-1]}" in captured.err
+        assert captured.out == ""
+
+    def test_largest_seed_parses(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr("minmax_langevin.cli.run_all_checks",
+                            lambda seed: seen.append(seed) or [])
+        assert main(["check", "--seed", str(2**64 - 1)]) == 0
+        assert seen == [2**64 - 1]
+
+    def test_plan_count_error_names_the_flags(self, capsys):
+        code = main(["plan", "--alpha", "1", "--smooth-l", "1", "--tau", "1",
+                     "--dim", "1", "--eps", "1e-300"])
+        assert code == 2
+        assert "--eps 1e-300" in capsys.readouterr().err
