@@ -33,7 +33,7 @@ from .metrics import gaussian_kl, gaussian_relative_fi, gaussian_w2
 from .oracle import GaussianDist, joint_equilibrium
 from .payoff import (PayoffSpec, PerturbedQuadratic, QuadraticBilinear,
                      check_gradient_fd, require)
-from .rng import (KeyedNoise, _philox_words, _role_code, _words_to_normals,
+from .rng import (KeyedNoise, _philox_words, _role_code, _words_to_pairs,
                   create_stream, derive_stream_id, standard_normal_block)
 
 __all__ = ["CheckResult", "run_all_checks", "default_specs"]
@@ -282,8 +282,9 @@ def check_second_moment_stability(seed: int = 0):
 
 
 def check_rng_consistency(seed: int = 123):
-    """Split blocks match one block; keyed rows are addressable alone and
-    a smaller particle block is a prefix of a larger one."""
+    """Split blocks match one block; each row of an x/y block pair is the
+    pair of variates of its own words, and a smaller particle block is a
+    prefix of a larger one, whichever address the pair cache holds."""
     s1 = create_stream(seed, 42)
     whole = standard_normal_block(s1, 8)
     s2 = create_stream(seed, 42)
@@ -292,15 +293,17 @@ def check_rng_consistency(seed: int = 123):
     )
     ok_split = np.array_equal(whole, halves)
     noise = KeyedNoise(seed)
-    keyed = noise.block("x", 5, 3, 7)
+    x5, y9 = noise.block("x", 5, 3, 7), noise.block("y", 9, 3, 7)
+    y5, x9 = noise.block("y", 5, 3, 7), noise.block("x", 9, 3, 7)
     rows_ok = all(
         np.array_equal(
-            keyed[i],
-            _words_to_normals(_philox_words(seed, _role_code("x"), 3, 7 * i, 7)),
+            np.stack([x5[i], y5[i]]),
+            np.stack(_words_to_pairs(_philox_words(seed, _role_code("x"), 3, 7 * i, 7))),
         )
         for i in range(5)
     )
-    prefix_ok = np.array_equal(keyed, noise.block("x", 9, 3, 7)[:5])
+    prefix_ok = (x9.shape == y9.shape == (9, 7) and np.array_equal(x5, x9[:5])
+                 and np.array_equal(y5, y9[:5]))
     return CheckResult(
         name="rng_stream_consistency",
         passed=ok_split and rows_ok and prefix_ok,

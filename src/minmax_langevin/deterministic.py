@@ -141,8 +141,9 @@ def gd_rate_audit(
     :class:`EnvelopeViolation` if any distance exceeds its envelope by more
     than 1e-9 relative slack, which would indicate a constants or update bug.
     """
+    require("nonnegative", eta_gd=eta_gd, steps=steps)
     c = spec.constants()
-    if eta_gd > c.eta_gd:
+    if not eta_gd <= c.eta_gd:
         raise ValueError("rate audit requires eta_gd <= alpha / (4 L^2)")
     z_star, _ = solve_equilibrium(spec)
     d0 = float(np.sum((z0.vector - z_star.vector) ** 2))

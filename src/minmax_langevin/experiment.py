@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, InitSpec, serialize_config
@@ -153,6 +152,20 @@ def _equilibrium_reference(spec, tau: float):
     return GaussianDist(mean=z_star.vector, cov=cov), "gaussian_proxy"
 
 
+def _numpy_simd() -> dict:
+    """numpy's compiled SIMD baseline and the dispatch targets this CPU runs.
+
+    numpy picks its ``log``/``sqrt``/``sin``/``cos`` kernels by these
+    targets, and those kernels set the bits of every noise variate.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    found = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    return {"baseline": list(umath.__cpu_baseline__), "found": found}
+
+
 def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
     """Execute a configured run and write metrics.csv + manifest.json."""
     t_start = time.perf_counter()
@@ -267,7 +280,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
         "versions": {
             "minmax_langevin": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "numpy_simd": _numpy_simd(),
             "python": platform.python_version(),
         },
         "created_unix": time.time(),

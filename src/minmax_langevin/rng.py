@@ -1,6 +1,6 @@
 """Deterministic, counter-addressed Gaussian noise.
 
-Every random number in a simulation is one 64-bit word of numpy's
+Every random number in a simulation comes from one 64-bit word of numpy's
 Philox-4x64-10 generator (``np.random.Philox``), fixed by a 128-bit key, a
 counter and a lane and nothing else, so
 
@@ -14,37 +14,53 @@ at counter ``(j // 4 + 1, counter1, 0, 0)`` under key ``(seed, key1)``; the
 +1 is numpy's convention of incrementing the counter before each block.
 ``_philox_words`` is the one function that applies this rule.
 
-1. A ``KeyedNoise.block(role, n, step, dim)`` call reads words
-   ``0 .. n*dim - 1`` of the sequence ``(seed, role code, step)``; row ``i``
-   is words ``i*dim .. i*dim + dim - 1``.  The role code is the first eight
-   bytes of SHA-256 of the role tag.
-2. A scalar ``NoiseStream`` reads its draw ``j`` as word ``j`` of the
-   sequence ``(seed, stream_id, 0)``.  ``derive_stream_id`` chains a SHA-256
-   role tag through splitmix64 finalizer rounds with a particle index and a
-   step counter to name such streams.
-3. Words map to open-interval uniforms ``((w >> 12) + 0.5) * 2**-52``, which
-   lie in ``[2**-53, 1 - 2**-53]``, are never ``0.5`` and are symmetric about
-   it, and then through the inverse normal CDF (``scipy.special.ndtri``).
-   Every variate is finite and nonzero, with ``|z| <= 8.2095...``.  The
-   inverse-CDF method consumes exactly one word per variate; it is the fixed
-   Gaussian-generation method for this package.
+1. Particle noise comes in role pairs, ``x`` with ``y`` and ``init-x`` with
+   ``init-y``.  Both blocks of a pair at ``(n, step, dim)`` read words
+   ``0 .. n*dim - 1`` of the sequence ``(seed, pair code, step)``; entry
+   ``j`` of the row-major ``(n, dim)`` block is word ``j``, so row ``i`` is
+   words ``i*dim .. i*dim + dim - 1``.  The first role of a pair takes the
+   cosine variate of each word and the second role the sine variate.  The
+   pair code is the role code of the pair's first role: the first eight
+   bytes of SHA-256 of its tag.
+2. A scalar ``NoiseStream`` reads its draw ``j`` as the cosine variate of
+   word ``j`` of the sequence ``(seed, stream_id, 0)``.  ``derive_stream_id``
+   chains a SHA-256 role tag through splitmix64 finalizer rounds with a
+   particle index and a step counter to name such streams.
+3. A word ``w`` gives two independent standard normals by Box-Muller (Box
+   and Muller, 1958): the radius ``r = sqrt(-2 ln u1)`` with
+   ``u1 = (hi32(w) + 0.5) * 2**-32`` in float64, and the angle
+   ``theta = (float32(int32(lo32(w))) + 0.5) * float32(2 pi / 2**32)`` in
+   float32, with ``cos`` and ``sin`` taken in float32 (numpy runs those as
+   SIMD loops; its float64 ``cos``/``sin`` are scalar and several times
+   slower).  The variates are ``r cos theta`` and ``r sin theta``, each
+   within 2.5e-6 of float64 Box-Muller on the same word.  ``u1`` lies in
+   ``[2**-33, 1 - 2**-33]`` and ``theta`` is never 0 or a multiple of
+   ``pi / 2``, so every variate is finite and nonzero, with
+   ``|z| <= sqrt(66 ln 2) = 6.7637...``, a bound both halves reach.
+
+``KeyedNoise.block`` is called once per role: the first call of a pair
+computes both halves from one read of the words and keeps the partner's
+block for the partner's exact address, which the next call returns without
+drawing.  A cached block equals what a fresh draw computes.
 
 Every draw runs on one module-level generator: ``_philox_words`` sets its
 key, counter and empty output buffer, then reads the words, all while
 holding one lock, so concurrent callers never see each other's state.  No
 draw constructs a generator, so none reads OS entropy for a seed sequence it
-would not use.  Role codes are hashed once per role tag.
+would not use.  Role codes are hashed once per role tag.  The bits of
+``log``, ``sqrt``, ``cos`` and ``sin`` are numpy's, which picks its SIMD
+kernels by CPU feature; run manifests record those features.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import sys
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "NoiseStream",
@@ -55,9 +71,13 @@ __all__ = [
 ]
 
 # The scheme above as run manifests record it; a change to the variates changes it.
-NOISE_SCHEME = ("v2: numpy philox4x64-10; particle block row i = words i*d..i*d+d-1 "
-                "at key (seed, sha256 role code), counter word 1 = step; "
-                "u = ((w >> 12) + 0.5) * 2**-52; inverse-CDF gaussians")
+NOISE_SCHEME = ("v3: numpy philox4x64-10; role pairs (x, y) and (init-x, init-y) "
+                "share block words i*d..i*d+d-1 for row i at key (seed, sha256 code "
+                "of the first role), counter word 1 = step; box-muller per word: "
+                "u1 = (hi32 + 0.5) * 2**-32, r = sqrt(-2 ln u1) in float64, "
+                "theta = (float32(int32 lo32) + 0.5) * float32(2 pi / 2**32), "
+                "first role r*cos32(theta), second role r*sin32(theta); "
+                "scalar streams take r*cos32(theta)")
 
 _U64 = np.uint64
 
@@ -120,20 +140,37 @@ def _philox_words(seed, key1, counter1, start: int, count: int) -> np.ndarray:
         return _PHILOX.random_raw(skip + count)[skip:]
 
 
-# 1.0 as float64 bits, and the offset that turns 1 + k * 2**-52 into
-# (k + 0.5) * 2**-52; the subtraction is exact (Sterbenz), so the map below
-# equals ((w >> 12) + 0.5) * 2**-52 bit for bit.
-_ONE_BITS = _U64(0x3FF0000000000000)
-_LARGEST_BELOW_ONE = 1.0 - 2.0**-53
+# Index of a word's low 32-bit half in its uint32 view.
+_LO = 0 if sys.byteorder == "little" else 1
+_ANGLE_STEP = np.float32(2.0 * np.pi * 2.0**-32)
+
+
+def _polar(words):
+    """Box-Muller radius (float64) and angle (float32) of each uint64 word."""
+    halves = words.view(np.uint32)
+    r = halves[1 - _LO::2].astype(np.float64)
+    r += 0.5
+    r *= 2.0**-32  # u1, exactly
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = halves[_LO::2].view(np.int32).astype(np.float32)
+    theta += np.float32(0.5)
+    theta *= _ANGLE_STEP
+    return r, theta
 
 
 def _words_to_normals(words) -> np.ndarray:
-    """Map uint64 words to standard normals via open-interval inverse CDF."""
-    bits = words >> _U64(12)
-    bits |= _ONE_BITS
-    u = bits.view(np.float64)
-    u -= _LARGEST_BELOW_ONE
-    return ndtri(u, out=u)
+    """The cosine variate ``r cos theta`` of each word."""
+    r, theta = _polar(words)
+    return np.multiply(r, np.cos(theta, out=theta), out=r)
+
+
+def _words_to_pairs(words):
+    """Both variates of each word: ``(r cos theta, r sin theta)``."""
+    r, theta = _polar(words)
+    z_cos = np.multiply(r, np.cos(theta))
+    return z_cos, np.multiply(r, np.sin(theta, out=theta), out=r)
 
 
 @dataclass
@@ -162,22 +199,42 @@ def standard_normal_block(stream: NoiseStream, n: int) -> np.ndarray:
     return _words_to_normals(words)
 
 
+# Each particle-noise role's pair: the first role draws the cosine variates,
+# the second the sine variates of the same words.
+_PAIR_OF = {role: pair for pair in (("x", "y"), ("init-x", "init-y")) for role in pair}
+
+
 class KeyedNoise:
     """Vectorized access to the per-(role, step) particle noise.
 
     ``block(role, n, step, dim)`` returns an ``(n, dim)`` array whose row
-    ``i`` is words ``i*dim .. i*dim + dim - 1`` of the sequence
-    ``(seed, role code, step)``: a prefix of the block for any larger ``n``,
-    and addressable alone through ``_philox_words`` at start ``i*dim``.
+    ``i`` is the role's variates of words ``i*dim .. i*dim + dim - 1`` of the
+    sequence ``(seed, pair code, step)``: a prefix of the block for any larger
+    ``n``, and addressable alone through ``_philox_words`` at start ``i*dim``.
     """
 
     def __init__(self, seed: int):
         if not (0 <= seed < 2**64):
             raise ValueError("seed must be an unsigned 64-bit integer")
         self.seed = int(seed)
+        # The last pair's other block, keyed by its address (role, n, step,
+        # dim).  A hit is popped (dict.pop is atomic), so a cached block is
+        # returned once even when threads share this object.
+        self._partner = {}
 
     def block(self, role: str, n: int, step: int, dim: int) -> np.ndarray:
         if step < 0:
             raise ValueError("step must be nonnegative")
-        words = _philox_words(self.seed, _role_code(role), step, 0, n * dim)
-        return _words_to_normals(words).reshape(n, dim)
+        cached = self._partner.pop((role, n, step, dim), None)
+        if cached is not None:
+            return cached
+        if role not in _PAIR_OF:
+            raise ValueError(f"unknown noise role {role!r}; roles are {sorted(_PAIR_OF)}")
+        first, second = _PAIR_OF[role]
+        words = _philox_words(self.seed, _role_code(first), step, 0, n * dim)
+        z_cos, z_sin = (z.reshape(n, dim) for z in _words_to_pairs(words))
+        if role == first:
+            self._partner = {(second, n, step, dim): z_sin}
+            return z_cos
+        self._partner = {(first, n, step, dim): z_cos}
+        return z_sin

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,7 +189,31 @@ class TestRunArtifacts:
         assert manifest["variance_reading"] == "exact"
         assert "config" in manifest and "payoff.kind" in manifest["config"]
         assert manifest["drift_scheme"].startswith("mean-field")
-        assert set(manifest["versions"]) >= {"numpy", "scipy", "python"}
+        versions = manifest["versions"]
+        assert set(versions) >= {"numpy", "numpy_simd", "python"}
+        assert "scipy" not in versions
+        assert set(versions["numpy_simd"]) == {"baseline", "found"}
+        assert all(isinstance(name, str) for name in versions["numpy_simd"]["found"])
+
+    def test_cli_and_a_run_load_no_scipy(self, tmp_path):
+        # scipy is a test-only dependency: the runtime must not import it.
+        config = tmp_path / "tiny.cfg"
+        config.write_text(minimal_config(tmp_path))
+        script = (
+            "import sys\n"
+            "import minmax_langevin.cli as cli\n"
+            "assert cli.main(['run', '--config', sys.argv[1]]) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "sys.exit(f'scipy modules loaded: {loaded}' if loaded else 0)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(config)], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_envelope_columns_populated_for_quadratic(self, tmp_path):
         bundle = run_experiment(parse_config(minimal_config(tmp_path,

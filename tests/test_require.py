@@ -21,6 +21,8 @@ from minmax_langevin import (
     transient_kl_envelope,
     variance_and_fisher_bounds,
 )
+from minmax_langevin.checks import check_gd_envelope
+from minmax_langevin.deterministic import gd_rate_audit
 from minmax_langevin.payoff import require
 
 NAN = math.nan
@@ -96,3 +98,21 @@ def test_a_shared_message_now_names_its_field(call, message):
 def test_contraction_factor_checks_its_constants():
     with pytest.raises(ValueError, match="alpha <= smooth_L"):
         contraction_factor(2.0, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("eta_gd, steps, message", [
+    (QUAD.constants().eta_gd, -3, "steps must be nonnegative"),
+    (NAN, 0, "eta_gd must be nonnegative"),
+    (NAN, 5, "eta_gd must be nonnegative"),
+], ids=["negative-steps", "nan-eta-no-steps", "nan-eta"])
+def test_gd_rate_audit_rejects_bad_arguments(eta_gd, steps, message):
+    # Before: steps=-3 audited nothing and returned [], and a NaN eta_gd with
+    # steps=0 recorded a NaN envelope.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gd_rate_audit(QUAD, ORIGIN, eta_gd, steps)
+
+
+def test_gd_envelope_check_fails_a_negative_step_count():
+    result = check_gd_envelope(QUAD, steps=-3)
+    assert not result.passed
+    assert result.detail == "steps must be nonnegative"

@@ -17,7 +17,8 @@ from minmax_langevin import (
     run_experiment,
     standard_normal_block,
 )
-from minmax_langevin.rng import _philox_words, _role_code, _words_to_normals
+from minmax_langevin.rng import (_philox_words, _role_code, _words_to_normals,
+                                  _words_to_pairs)
 
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
@@ -74,14 +75,44 @@ def oracle_words(seed, key1, counter1, start, count):
     return words[start % 4:start % 4 + count]
 
 
-def numpy_philox_normals(seed, key1, n, counter1=0, start=0):
-    """Draws ``start .. start+n-1`` of ``(seed, key1, counter1)``, generated
+_ANGLE_STEP = np.float32(2.0 * np.pi * 2.0**-32)
+# Each role's pair: the role whose code keys the words, and which variate
+# of a word the role takes (0: r cos theta, 1: r sin theta).
+ROLE_HALF = {"x": ("x", 0), "y": ("x", 1), "init-x": ("init-x", 0), "init-y": ("init-x", 1)}
+
+
+def reference_pairs(words):
+    """Both Box-Muller variates of each word by the documented v3 rule,
+    written without ``rng``'s code: ``u1 = (hi32 + 0.5) * 2**-32``,
+    ``r = sqrt(-2 ln u1)`` in float64, ``theta = (float32(int32 lo32) + 0.5) *
+    float32(2 pi / 2**32)`` in float32; returns ``(r cos theta, r sin theta)``."""
+    words = np.asarray(words, dtype=_U64)
+    u1 = ((words >> _SHIFT32).astype(np.float64) + 0.5) * 2.0**-32
+    r = np.sqrt(-2.0 * np.log(u1))
+    lo = (words & _MASK32).astype(np.int64)
+    lo = np.where(lo >= 2**31, lo - 2**32, lo)  # the low half read as int32
+    theta = (lo.astype(np.float32) + np.float32(0.5)) * _ANGLE_STEP
+    return r * np.cos(theta).astype(np.float64), r * np.sin(theta).astype(np.float64)
+
+
+def reference_normals(words):
+    """The cosine variate of each word: a scalar stream's draws."""
+    return reference_pairs(words)[0]
+
+
+def reference_block(words_of, role, n, dim):
+    """``role``'s ``(n, dim)`` block, ``words_of(key1)`` giving its n*dim words."""
+    pair_role, half = ROLE_HALF[role]
+    return reference_pairs(words_of(_role_code(pair_role)))[half].reshape(n, dim)
+
+
+def numpy_philox_words(seed, key1, n, counter1=0, start=0):
+    """Words ``start .. start+n-1`` of ``(seed, key1, counter1)``, generated
     by numpy's Philox constructed here rather than through ``rng``."""
-    words = np.random.Philox(
+    return np.random.Philox(
         key=np.array([seed, int(key1)], dtype=np.uint64),
         counter=np.array([start // 4, counter1, 0, 0], dtype=np.uint64),
     ).random_raw(start % 4 + n)[start % 4:]
-    return _words_to_normals(words)
 
 
 class TestStreams:
@@ -174,8 +205,10 @@ class TestOracle:
     def test_keyed_blocks_match_oracle(self, seed, role, step):
         n, dim = 7, 3
         block = KeyedNoise(seed).block(role, n, step, dim)
-        words = oracle_words(seed, _role_code(role), step, 0, n * dim)
-        np.testing.assert_array_equal(block, _words_to_normals(words).reshape(n, dim))
+        expected = reference_block(
+            lambda key1: oracle_words(seed, key1, step, 0, n * dim), role, n, dim
+        )
+        np.testing.assert_array_equal(block, expected)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("stream_id", [0, 42, 2**63 + 11])
@@ -186,7 +219,7 @@ class TestOracle:
                 stream.index = start
                 np.testing.assert_array_equal(
                     standard_normal_block(stream, count),
-                    _words_to_normals(oracle_words(seed, stream_id, 0, start, count)),
+                    reference_normals(oracle_words(seed, stream_id, 0, start, count)),
                 )
 
     @pytest.mark.parametrize("start", [0, 1, 2, 3, 6, 17, 4095])
@@ -198,27 +231,105 @@ class TestOracle:
             )
 
 
+def word(hi, lo):
+    return (hi << 32) | lo
+
+
+# The largest |z|: r at hi32 = 0, u1 = 2**-33.
+R_MAX = float(np.sqrt(-2.0 * np.log(np.array([2.0**-33])))[0])
+
+
 class TestUniformMap:
     def test_extreme_words(self):
-        words = np.array(
-            [0, 2**63, 2**64 - 2049, 2**64 - 2048, 2**64 - 1], dtype=np.uint64
-        )
-        z = _words_to_normals(words)
+        his = [0, 1, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1]
+        los = [0, 1, 2**30 - 1, 2**30, 2**31 - 1, 2**31, 3 * 2**30, 2**32 - 1]
+        words = np.array([word(h, l) for h in his for l in los], dtype=np.uint64)
+        z_cos, z_sin = _words_to_pairs(words)
+        ref_cos, ref_sin = reference_pairs(words)
+        np.testing.assert_array_equal(z_cos, ref_cos)
+        np.testing.assert_array_equal(z_sin, ref_sin)
+        np.testing.assert_array_equal(_words_to_normals(words), ref_cos)
+        z = np.concatenate([z_cos, z_sin])
         assert np.isfinite(z).all()
         assert (z != 0.0).all()
-        extreme = ndtri(2.0**-53)  # -8.2095361516013...
-        assert abs(extreme + 8.2095361516) < 1e-9
-        assert z[0] == extreme
-        assert z[2] == z[3] == z[4] == -extreme
-        assert 0.0 < z[1] < 1e-15
+        assert (np.abs(z) <= R_MAX).all()
 
     def test_uniforms_symmetric_about_one_half(self):
-        k = np.array([0, 1, 2**51 - 1, 2**51, 2**52 - 1], dtype=np.uint64)
-        words = k << np.uint64(12)
-        mirrored = (np.uint64(2**52 - 1) - k) << np.uint64(12)
-        np.testing.assert_array_equal(
-            _words_to_normals(words), -_words_to_normals(mirrored)
+        # The angle's uniform (lo32 + 0.5) * 2**-32 is symmetric about one
+        # half: ~lo32 mirrors it, which keeps the cosine variate and negates
+        # the sine variate, exactly while float32 holds int32(lo32) + 0.5.
+        k = np.array([0, 1, 2, 3, 2**20 + 5, 2**22, 2**23 - 1], dtype=np.uint64)
+        his = np.array([0, 7, 2**31, 2**32 - 1], dtype=np.uint64)[:, None]
+        words = ((his << _SHIFT32) | k).ravel()
+        mirrored = ((his << _SHIFT32) | (_MASK32 - k)).ravel()
+        cos_a, sin_a = _words_to_pairs(words)
+        cos_b, sin_b = _words_to_pairs(mirrored)
+        np.testing.assert_array_equal(cos_a, cos_b)
+        np.testing.assert_array_equal(sin_a, -sin_b)
+
+
+class TestBoxMuller:
+    """Tails, exactness and accuracy of the v3 transform."""
+
+    def test_extreme_words_reach_the_tail_bound_exactly(self):
+        assert abs(R_MAX - 6.763705635) < 1e-9  # sqrt(66 ln 2)
+        # hi32 = 0 gives r = R_MAX; these angles round to 0, pi/2, -pi, -pi/2
+        # and pi in float32, where cos or sin is exactly +-1.
+        words = np.array(
+            [word(0, 0), word(0, 2**30), word(0, 2**31), word(0, 3 * 2**30),
+             word(0, 2**31 - 1)],
+            dtype=np.uint64,
         )
+        z_cos, z_sin = _words_to_pairs(words)
+        assert z_cos[0] == R_MAX and z_sin[1] == R_MAX
+        assert z_cos[2] == -R_MAX and z_sin[3] == -R_MAX and z_cos[4] == -R_MAX
+
+    def test_every_variate_is_finite_and_nonzero_near_the_axes(self):
+        # The angles next to 0, +-pi/2 and +-pi are where cos or sin comes
+        # closest to 0; hi32 spans the smallest and largest radius.
+        window = np.arange(-2**15, 2**15, dtype=np.int64)
+        centres = np.array([0, 2**30, 2**31, 3 * 2**30])
+        los = ((centres[:, None] + window) % 2**32).ravel().astype(np.uint64)
+        for hi in (0, 2**31, 2**32 - 1):
+            z = np.concatenate(_words_to_pairs((np.uint64(hi) << _SHIFT32) | los))
+            assert np.isfinite(z).all()
+            assert np.min(np.abs(z)) > 0.0
+            assert np.max(np.abs(z)) <= R_MAX
+
+    def test_float32_angle_stays_within_1e5_of_float64_box_muller(self):
+        words = np.concatenate([
+            numpy_philox_words(5, 6, 10**6),
+            np.array([word(0, 2**31 - 1), word(0, 2**31), word(1, 2**32 - 1)],
+                     dtype=np.uint64),
+        ])
+        u1 = ((words >> _SHIFT32).astype(np.float64) + 0.5) * 2.0**-32
+        r = np.sqrt(-2.0 * np.log(u1))
+        lo = (words & _MASK32).astype(np.float64)
+        theta = 2.0 * np.pi * (np.where(lo >= 2**31, lo - 2**32, lo) + 0.5) * 2.0**-32
+        z_cos, z_sin = _words_to_pairs(words)
+        assert np.max(np.abs(z_cos - r * np.cos(theta))) < 1e-5
+        assert np.max(np.abs(z_sin - r * np.sin(theta))) < 1e-5
+
+    @pytest.mark.parametrize("role", ["x", "y", "init-x", "init-y"])
+    def test_each_half_is_standard_normal(self, role):
+        noise = KeyedNoise(99)
+        z = np.concatenate([noise.block(role, 1000, step, 2).ravel() for step in range(100)])
+        assert z.size == 2 * 10**5
+        # KS against N(0, 1): reject at the 0.1% level (D > 1.949 / sqrt(n)).
+        assert stats.kstest(z, "norm").statistic < 1.949 / np.sqrt(z.size)
+
+    @pytest.mark.parametrize("pair", [("x", "y"), ("init-x", "init-y")])
+    def test_halves_uncorrelated_at_shared_addresses(self, pair):
+        # Box-Muller makes the two variates of a word independent; a shared
+        # radius with a dependent angle would correlate their squares.
+        noise = KeyedNoise(4)
+        first, second = (
+            np.concatenate([noise.block(role, 1000, step, 2).ravel() for step in range(250)])
+            for role in pair
+        )
+        bound = 4.0 / np.sqrt(first.size)
+        assert abs(np.corrcoef(first**2, second**2)[0, 1]) < bound
+        assert abs(np.corrcoef(first, second)[0, 1]) < bound
 
 
 class TestKeyedNoise:
@@ -226,10 +337,13 @@ class TestKeyedNoise:
         # Any row computed alone equals the same row of the block.  At step 0
         # the keyed sequence is the scalar stream keyed by the role code.
         noise = KeyedNoise(77)
-        block = noise.block("x", 6, 12, 5)
-        for i in range(6):
-            row = _words_to_normals(_philox_words(77, _role_code("x"), 12, 5 * i, 5))
-            np.testing.assert_array_equal(block[i], row)
+        for role in ("x", "y"):
+            block = noise.block(role, 6, 12, 5)
+            for i in range(6):
+                row = reference_block(
+                    lambda key1: _philox_words(77, key1, 12, 5 * i, 5), role, 1, 5
+                )
+                np.testing.assert_array_equal(block[i], row[0])
         block = noise.block("x", 6, 0, 5)
         for i in range(6):
             stream = create_stream(77, int(_role_code("x")))
@@ -270,7 +384,7 @@ class TestWholeStreamOracle:
         "seed,stream_id", [(0, 0), (9, 5), (2**64 - 1, 2**63 + 11)]
     )
     def test_any_range_matches_numpy_philox(self, seed, stream_id):
-        reference = numpy_philox_normals(seed, stream_id, 64)
+        reference = reference_normals(numpy_philox_words(seed, stream_id, 64))
         for start in range(0, 13):
             for count in (1, 3, 4, 5, 17, 64 - start):
                 stream = create_stream(seed, stream_id)
@@ -285,10 +399,11 @@ class TestWholeStreamOracle:
     def test_keyed_rows_match_numpy_philox(self, n, dim):
         block = KeyedNoise(31).block("y", n, 6, dim)
         for i in range(n):
-            np.testing.assert_array_equal(
-                block[i],
-                numpy_philox_normals(31, _role_code("y"), dim, counter1=6, start=i * dim),
+            row = reference_block(
+                lambda key1: numpy_philox_words(31, key1, dim, counter1=6, start=i * dim),
+                "y", 1, dim,
             )
+            np.testing.assert_array_equal(block[i], row[0])
 
 
 class TestSharedGenerator:
@@ -304,14 +419,16 @@ class TestSharedGenerator:
             n, dim = 1 + i % 5, 1 + i % 3
             np.testing.assert_array_equal(
                 noises[seed].block(role, n, i, dim),
-                numpy_philox_normals(seed, _role_code(role), n * dim, counter1=i)
-                .reshape(n, dim),
+                reference_block(
+                    lambda key1: numpy_philox_words(seed, key1, n * dim, counter1=i),
+                    role, n, dim,
+                ),
             )
             sid = (11, 2**63 + 7)[i % 2]
             count = 2 * i + 1  # odd, so later draws start mid-block
             np.testing.assert_array_equal(
                 standard_normal_block(streams[sid], count),
-                numpy_philox_normals(3, sid, count, start=drawn[sid]),
+                reference_normals(numpy_philox_words(3, sid, count, start=drawn[sid])),
             )
             drawn[sid] += count
 
@@ -340,8 +457,10 @@ class TestSharedGenerator:
             for step, block in enumerate(results[seed]):
                 np.testing.assert_array_equal(
                     block,
-                    numpy_philox_normals(seed, _role_code("x"), n * dim, counter1=step)
-                    .reshape(n, dim),
+                    reference_block(
+                        lambda key1: numpy_philox_words(seed, key1, n * dim, counter1=step),
+                        "x", n, dim,
+                    ),
                 )
 
     def test_draws_construct_no_generator(self, monkeypatch):
@@ -359,6 +478,71 @@ class TestSharedGenerator:
             noise.block("x", 16, step, 2)
             standard_normal_block(stream, 3)
         assert constructed == []
+
+
+class TestPartnerCache:
+    """A block served from the pair cache has the bytes of a fresh draw."""
+
+    SEED = 2**63 + 9
+
+    def fresh(self, role, n, step, dim):
+        return KeyedNoise(self.SEED).block(role, n, step, dim).tobytes()
+
+    @pytest.mark.parametrize("calls", [
+        [("x", 5, 3, 2), ("y", 5, 3, 2)],
+        [("y", 5, 3, 2), ("x", 5, 3, 2)],
+        [("x", 5, 3, 2), ("x", 5, 3, 2), ("y", 5, 3, 2), ("y", 5, 3, 2)],
+        [("y", 5, 3, 2), ("y", 5, 3, 2)],
+        [("x", 5, 3, 2), ("y", 7, 3, 2), ("y", 5, 3, 2), ("x", 7, 3, 2)],
+        [("x", 6, 3, 1), ("y", 3, 3, 2), ("y", 6, 3, 1)],
+        [("x", 4, 0, 2), ("x", 4, 1, 2), ("y", 4, 0, 2), ("y", 4, 1, 2)],
+        [("init-x", 4, 0, 2), ("x", 4, 0, 2), ("init-y", 4, 0, 2), ("y", 4, 0, 2)],
+        [("init-y", 4, 0, 2), ("y", 4, 0, 2), ("init-x", 4, 0, 2), ("x", 4, 0, 2)],
+    ], ids=["x-y", "y-x", "x-twice", "y-twice", "other-n", "other-dim",
+            "interleaved-steps", "interleaved-pairs", "interleaved-pairs-y-first"])
+    def test_any_call_order_matches_fresh_draws(self, calls):
+        noise = KeyedNoise(self.SEED)
+        for call in calls:
+            assert noise.block(*call).tobytes() == self.fresh(*call)
+
+    def test_a_cached_block_is_returned_once(self):
+        noise = KeyedNoise(self.SEED)
+        noise.block("x", 3, 1, 2)
+        first = noise.block("y", 3, 1, 2)
+        first += 100.0  # the caller owns it; a later draw is unaffected
+        assert noise.block("y", 3, 1, 2).tobytes() == self.fresh("y", 3, 1, 2)
+
+    def test_threads_sharing_one_object_get_fresh_bytes(self):
+        noise = KeyedNoise(self.SEED)
+        results = {}
+        barrier = threading.Barrier(4, timeout=30)
+
+        def draw(t):
+            # Threads 0 and 1 ask for the same addresses, 2 and 3 for others,
+            # in opposite role orders, so cache entries cross threads.
+            roles = ("x", "y") if t % 2 == 0 else ("y", "x")
+            barrier.wait()
+            results[t] = [(role, step, noise.block(role, 8, step + 10 * (t // 2), 2))
+                          for step in range(40) for role in roles]
+
+        threads = [threading.Thread(target=draw, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for t in range(4):
+            for role, step, block in results[t]:
+                assert block.tobytes() == self.fresh(role, 8, step + 10 * (t // 2), 2)
+
+    def test_rejects_unknown_role(self):
+        with pytest.raises(ValueError, match="unknown noise role 'z'"):
+            KeyedNoise(1).block("z", 2, 0, 1)
 
 
 class TestGoodnessOfFit:
@@ -384,29 +568,44 @@ class TestGoodnessOfFit:
 class TestNoiseSchemeGolden:
     """Pinned variates of the current ``noise_scheme``.
 
-    A change to the role code, the key or counter layout, the uniform map or
-    the inverse CDF fails here.  Such a change must update these literals and
-    the manifest's ``noise_scheme`` together.
+    A change to the role code, the pairing, the key or counter layout or the
+    Box-Muller transform fails here.  Such a change must update these
+    literals and the manifest's ``noise_scheme`` together.  The bits of
+    ``log``/``sqrt``/``sin``/``cos`` are numpy's, chosen by the SIMD targets
+    the manifest records; the literals were taken on an x86-64 host with
+    AVX512_SPR (numpy 2.4).
     """
 
     SCHEME = (
-        "v2: numpy philox4x64-10; particle block row i = "
-        "words i*d..i*d+d-1 at key (seed, sha256 role code), counter word 1 = "
-        "step; u = ((w >> 12) + 0.5) * 2**-52; inverse-CDF gaussians"
+        "v3: numpy philox4x64-10; role pairs (x, y) and (init-x, init-y) share "
+        "block words i*d..i*d+d-1 for row i at key (seed, sha256 code of the "
+        "first role), counter word 1 = step; box-muller per word: "
+        "u1 = (hi32 + 0.5) * 2**-32, r = sqrt(-2 ln u1) in float64, "
+        "theta = (float32(int32 lo32) + 0.5) * float32(2 pi / 2**32), "
+        "first role r*cos32(theta), second role r*sin32(theta); "
+        "scalar streams take r*cos32(theta)"
     )
 
     def test_keyed_block(self):
-        expected = [
-            ["0x1.7c0a51f2ec8dfp-1", "-0x1.57e93f5032976p-6", "-0x1.7fd06d42ca715p-1"],
-            ["0x1.180a30a2ed98bp-7", "-0x1.06e15952cf77cp+0", "-0x1.5033fe954488ep-1"],
-        ]
-        block = KeyedNoise(0).block("x", 2, 0, 3)
-        assert [[float(v).hex() for v in row] for row in block] == expected
+        expected = {
+            "x": [
+                ["0x1.e706464a12e0fp-3", "0x1.30eb540fc324ap+0", "-0x1.8bdae332b3b87p+0"],
+                ["-0x1.322ad87bd9f7cp-1", "-0x1.4eacfeeca0fbdp-1", "0x1.64720790f3781p-1"],
+            ],
+            "y": [
+                ["-0x1.5c91a1913e1c2p-1", "0x1.2fb5a72deb042p-5", "0x1.84df0611d2577p-1"],
+                ["-0x1.01ed91f29cdc5p+0", "-0x1.d3ab72e041fe6p+0", "0x1.7f6290fef7c51p+0"],
+            ],
+        }
+        noise = KeyedNoise(0)
+        for role in ("x", "y"):
+            block = noise.block(role, 2, 0, 3)
+            assert [[float(v).hex() for v in row] for row in block] == expected[role]
 
     def test_scalar_stream(self):
         expected = [
-            "-0x1.fdbd7eea36502p-2", "-0x1.7767b96f89261p-2", "-0x1.c9acf1ad76998p+0",
-            "0x1.c5f0908109d47p+0", "-0x1.099944b51bcfap+1",
+            "-0x1.964900a9f694dp-2", "0x1.f287304a351abp-1", "-0x1.2e711b339f811p+1",
+            "-0x1.e85bace2d35b9p-3", "-0x1.57ff6faf23738p+1",
         ]
         draws = standard_normal_block(create_stream(1, 2), 5)
         assert [float(v).hex() for v in draws] == expected
