@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deterministic import JointPoint, gd_rate_audit, solve_equilibrium
+from .deterministic import EnvelopeViolation, JointPoint, gd_rate_audit, solve_equilibrium
 from .dynamics import (
     ParticleState,
     batched_joint_drift,
@@ -202,7 +202,7 @@ def check_gd_envelope(spec: PayoffSpec, seed: int = 0, steps: int = 500):
     try:
         gd_rate_audit(spec, JointPoint(x=x, y=y), spec.constants().eta_gd, steps)
         ok, detail = True, f"{steps} steps below envelope"
-    except Exception as exc:  # EnvelopeViolation carries the step info
+    except EnvelopeViolation as exc:
         ok, detail = False, str(exc)
     return CheckResult(
         name=f"gd_rate_envelope[{type(spec).__name__}]", passed=ok, detail=detail

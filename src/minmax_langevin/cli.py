@@ -207,10 +207,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--smooth-l", dest="smooth_l", type=float, required=True)
     p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_positive_int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--z-star-norm-sq", dest="z_star_norm_sq", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", type=str, default="")
     p.set_defaults(func=_cmd_plan)
 

@@ -140,19 +140,22 @@ _INIT_TYPES = {
     "kind": str, "mean_mode": str, "mean": tuple, "cov_scale": float, "snapshot": str,
 }
 
-# dataclass field -> (key, type)
-_ALGORITHM_KEYS = {
-    "tau": ("tau", float),
-    "eta": ("algorithm.eta", float),
-    "n_particles": ("algorithm.n_particles", int),
-    "steps": ("algorithm.steps", int),
-    "strict_eta": ("algorithm.strict_eta", bool),
-}
-_EXPERIMENT_KEYS = {
-    "seed": ("seed", int),
-    "checkpoint_every": ("checkpoint_every", int),
-    "output_dir": ("output.dir", str),
-    "snapshots": ("output.snapshots", str),
+# Every key outside ``payoff.*``: key -> (type, section, dataclass field,
+# required), in the order serialize_config writes them.  A section names the
+# object that holds the field: "algorithm" (AlgorithmParams), "experiment"
+# (ExperimentConfig), "init" and "coupled" (InitSpec).
+_KEYS = {
+    "tau": (float, "algorithm", "tau", True),
+    "seed": (int, "experiment", "seed", True),
+    "checkpoint_every": (int, "experiment", "checkpoint_every", False),
+    "algorithm.eta": (float, "algorithm", "eta", True),
+    "algorithm.n_particles": (int, "algorithm", "n_particles", True),
+    "algorithm.steps": (int, "algorithm", "steps", True),
+    "algorithm.strict_eta": (bool, "algorithm", "strict_eta", False),
+    **{f"{prefix}.{name}": (typ, prefix, name, False)
+       for prefix in ("init", "coupled") for name, typ in _INIT_TYPES.items()},
+    "output.dir": (str, "experiment", "output_dir", False),
+    "output.snapshots": (str, "experiment", "snapshots", False),
 }
 
 
@@ -191,10 +194,10 @@ def _take(values: dict, key: str, typ, required=False):
     return value
 
 
-def _fields(values: dict, keys: dict, required=()) -> dict:
-    """The present keys of ``keys`` (field -> (key, type)), read and named by field."""
-    taken = {name: _take(values, key, typ, required=name in required)
-             for name, (key, typ) in keys.items()}
+def _fields(values: dict, section: str) -> dict:
+    """The present keys of ``section``, read and named by dataclass field."""
+    taken = {name: _take(values, key, typ, required)
+             for key, (typ, sec, name, required) in _KEYS.items() if sec == section}
     return {name: value for name, value in taken.items() if value is not None}
 
 
@@ -219,13 +222,10 @@ def _parse_payoff(values: dict) -> PayoffSpec:
     dim = _take(values, "payoff.dim", int, required=True)
     if dim < 1:
         raise ConfigError("payoff.dim must be a positive integer")
-    a = _matrix(values, "payoff.A", dim)
-    b = _matrix(values, "payoff.B", dim)
-    c = _matrix(values, "payoff.C", dim)
-    u = _vector(values, "payoff.u", dim)
-    v = _vector(values, "payoff.v", dim)
+    matrices = {name: _matrix(values, f"payoff.{name}", dim) for name in ("A", "B", "C")}
+    vectors = {name: _vector(values, f"payoff.{name}", dim) for name in ("u", "v")}
     try:
-        base = QuadraticBilinear(dim=dim, A=a, B=b, C=c, u=u, v=v)
+        base = QuadraticBilinear(dim=dim, **matrices, **vectors)
         if kind == "QuadraticBilinear":
             if "payoff.amplitude" in values or "payoff.frequency" in values:
                 raise ConfigError(
@@ -245,8 +245,7 @@ def _parse_payoff(values: dict) -> PayoffSpec:
 
 
 def _parse_init(values: dict, prefix: str) -> InitSpec | None:
-    keys = {name: (f"{prefix}.{name}", typ) for name, typ in _INIT_TYPES.items()}
-    fields = _fields(values, keys)
+    fields = _fields(values, prefix)
     if not fields and prefix == "coupled":
         return None
     try:
@@ -260,9 +259,8 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config document; unknown keys are errors."""
     values = _tokenize(text)
     spec = _parse_payoff(values)
-    algorithm = _fields(values, _ALGORITHM_KEYS,
-                        required=("tau", "eta", "n_particles", "steps"))
-    experiment = _fields(values, _EXPERIMENT_KEYS, required=("seed",))
+    algorithm = _fields(values, "algorithm")
+    experiment = _fields(values, "experiment")
     init = _parse_init(values, "init")
     coupled = _parse_init(values, "coupled")
     if values:
@@ -291,34 +289,20 @@ def serialize_config(config: ExperimentConfig) -> str:
     """Emit a document that parses back to an equal config."""
     spec = config.payoff
     base = spec.base if isinstance(spec, PerturbedQuadratic) else spec
-    lines = [
-        f"payoff.kind = {type(spec).__name__}",
-        f"payoff.dim = {base.dim}",
-        f"payoff.A = {_fmt(base.A)}",
-        f"payoff.B = {_fmt(base.B)}",
-        f"payoff.C = {_fmt(base.C)}",
-        f"payoff.u = {_fmt(base.u)}",
-        f"payoff.v = {_fmt(base.v)}",
-    ]
+    payoff = {"kind": type(spec).__name__, "dim": base.dim,
+              **{name: getattr(base, name) for name in ("A", "B", "C", "u", "v")}}
     if isinstance(spec, PerturbedQuadratic):
-        lines.append(f"payoff.amplitude = {_fmt(spec.amplitude)}")
-        lines.append(f"payoff.frequency = {_fmt(spec.frequency)}")
-    lines += [
-        f"tau = {_fmt(config.tau)}",
-        f"seed = {config.seed}",
-        f"checkpoint_every = {config.checkpoint_every}",
-        f"algorithm.eta = {_fmt(config.algorithm.eta)}",
-        f"algorithm.n_particles = {config.algorithm.n_particles}",
-        f"algorithm.steps = {config.algorithm.steps}",
-        f"algorithm.strict_eta = {_fmt(config.algorithm.strict_eta)}",
-    ]
-    for prefix, init in (("init", config.init), ("coupled", config.coupled)):
-        if init is None:
+        payoff.update(amplitude=spec.amplitude, frequency=spec.frequency)
+    lines = [f"payoff.{name} = {_fmt(value)}" for name, value in payoff.items()]
+    owners = {"algorithm": config.algorithm, "experiment": config,
+              "init": config.init, "coupled": config.coupled}
+    for key, (_, section, name, _) in _KEYS.items():
+        owner = owners[section]
+        value = None if owner is None else getattr(owner, name)
+        # Not written, since each reads back as it is: an absent coupled
+        # section, None, and an empty text or list equal to its default.
+        if value is None or (isinstance(value, (str, tuple)) and not value
+                             and value == getattr(type(owner), name)):
             continue
-        for name in _INIT_TYPES:
-            value = getattr(init, name)
-            if value not in (None, "", ()):  # an unset optional field
-                lines.append(f"{prefix}.{name} = {_fmt(value)}")
-    lines.append(f"output.dir = {config.output_dir}")
-    lines.append(f"output.snapshots = {config.snapshots}")
+        lines.append(f"{key} = {_fmt(value)}")
     return "\n".join(lines) + "\n"

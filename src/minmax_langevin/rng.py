@@ -62,6 +62,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .payoff import require
+
 __all__ = [
     "NoiseStream",
     "create_stream",
@@ -109,8 +111,7 @@ def derive_stream_id(role: str, particle, step: int):
     same shape.  Distinct addresses map to distinct ids up to the 64-bit
     birthday bound, which is far beyond desk-scale experiments.
     """
-    if step < 0:
-        raise ValueError("step must be nonnegative")
+    require("nonnegative", step=step)
     h = _splitmix64(_role_code(role))
     h = _splitmix64(h ^ np.asarray(particle, dtype=_U64))
     h = _splitmix64(h ^ _U64(step))
@@ -191,8 +192,7 @@ def create_stream(seed: int, stream_id: int) -> NoiseStream:
 
 def standard_normal_block(stream: NoiseStream, n: int) -> np.ndarray:
     """Next ``n`` i.i.d. standard normal draws; advances the stream by ``n``."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    require("at least 1", n=n)
     n = int(n)
     words = _philox_words(stream.seed, stream.stream_id, 0, stream.index, n)
     stream.index += n
@@ -223,8 +223,7 @@ class KeyedNoise:
         self._partner = {}
 
     def block(self, role: str, n: int, step: int, dim: int) -> np.ndarray:
-        if step < 0:
-            raise ValueError("step must be nonnegative")
+        require("nonnegative", step=step)
         cached = self._partner.pop((role, n, step, dim), None)
         if cached is not None:
             return cached

@@ -87,6 +87,10 @@ MISTYPED_FIELDS = [
     ("seed", "true", {}),
 ]
 
+# A valid plan call; a flag given again after it replaces its value.
+PLAN_FLAGS = ["plan", "--alpha", "1", "--smooth-l", "1", "--tau", "1",
+              "--dim", "1", "--eps", "0.1"]
+
 
 class TestParsing:
     def test_defaults_applied(self, tmp_path):
@@ -143,6 +147,46 @@ class TestParsing:
                             "payoff.kind = PerturbedQuadratic")
         cfg = parse_config(text)
         assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_empty_values_and_numpy_scalars_round_trip(self, tmp_path):
+        # An empty output.dir is the working directory, not the default
+        # "runs", and an empty mean_mode on a snapshot init is not the
+        # default "warm_start"; both must be written to read back.
+        text = config_with(tmp_path, {"output.dir": "", "init.kind": "snapshot",
+                                      "init.snapshot": "a.csv", "init.mean_mode": ""})
+        cfg = parse_config(text)
+        assert parse_config(serialize_config(cfg)) == cfg
+        numpy_seed = dataclasses.replace(cfg, seed=np.uint64(7))
+        assert serialize_config(numpy_seed) == serialize_config(cfg)
+
+    def test_readme_example_serializes_to_pinned_text(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("### Config format", 1)[1].split("```\n", 2)[1]
+        assert serialize_config(parse_config(example)) == (
+            "payoff.kind = QuadraticBilinear\n"
+            "payoff.dim = 1\n"
+            "payoff.A = [1.0]\n"
+            "payoff.B = [1.0]\n"
+            "payoff.C = [0.5]\n"
+            "payoff.u = [0.0]\n"
+            "payoff.v = [0.0]\n"
+            "tau = 1.0\n"
+            "seed = 7\n"
+            "checkpoint_every = 100\n"
+            "algorithm.eta = 0.001\n"
+            "algorithm.n_particles = 512\n"
+            "algorithm.steps = 20000\n"
+            "algorithm.strict_eta = true\n"
+            "init.kind = gaussian\n"
+            "init.mean_mode = warm_start\n"
+            "init.cov_scale = 1.0\n"
+            "coupled.kind = gaussian\n"
+            "coupled.mean_mode = explicit\n"
+            "coupled.mean = [0.25, 0.25]\n"
+            "coupled.cov_scale = 0.8944271909999159\n"
+            "output.dir = runs/demo\n"
+            "output.snapshots = none\n"
+        )
 
     def test_hash_in_a_value_starts_a_comment(self, tmp_path):
         cfg = parse_config(config_with(tmp_path, {"output.dir": "runs/#3"}))
@@ -587,8 +631,10 @@ class TestCliEdgePaths:
         (["gradcheck", "--seed", "-1"], "--seed", "an unsigned 64-bit integer"),
         (["gradcheck", "--dim", "0"], "--dim", "a positive integer"),
         (["gradcheck", "--dim", "-1"], "--dim", "a positive integer"),
+        (PLAN_FLAGS + ["--seed", "-1"], "--seed", "an unsigned 64-bit integer"),
+        (PLAN_FLAGS + ["--dim", "0"], "--dim", "a positive integer"),
     ], ids=["check-seed-negative", "check-seed-2**64", "gradcheck-seed",
-            "gradcheck-dim-0", "gradcheck-dim-negative"])
+            "gradcheck-dim-0", "gradcheck-dim-negative", "plan-seed", "plan-dim"])
     def test_bad_seed_or_dim_flag_exits_2_naming_it(self, argv, flag, rule, capsys):
         with pytest.raises(SystemExit) as info:
             main(argv)

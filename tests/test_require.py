@@ -24,6 +24,8 @@ from minmax_langevin import (
 from minmax_langevin.checks import check_gd_envelope
 from minmax_langevin.deterministic import gd_rate_audit
 from minmax_langevin.payoff import require
+from minmax_langevin.rng import (KeyedNoise, create_stream, derive_stream_id,
+                                 standard_normal_block)
 
 NAN = math.nan
 QUAD = QuadraticBilinear(dim=2, A=np.eye(2), B=np.eye(2), C=0.5 * np.eye(2))
@@ -75,9 +77,13 @@ def test_the_first_failing_value_is_named():
      "step must be nonnegative"),
     (lambda: GaussianDist.isotropic(np.zeros(2), NAN), "scale must be nonnegative"),
     (lambda: solve_equilibrium(PERT, max_iters=-5), "max_iters must be nonnegative"),
+    (lambda: derive_stream_id("x", 0, NAN), "step must be nonnegative"),
+    (lambda: KeyedNoise(0).block("x", 2, NAN, 1), "step must be nonnegative"),
+    (lambda: standard_normal_block(create_stream(0, 1), NAN), "n must be at least 1"),
 ], ids=["amplitude", "frequency", "gd_step", "record-kl", "record-w2",
         "contraction", "envelope-k", "bias-d", "bias-n", "fisher-d", "plan-d",
-        "state-step", "isotropic", "max_iters"])
+        "state-step", "isotropic", "max_iters", "stream-id-step", "keyed-step",
+        "block-n"])
 def test_an_unchecked_argument_is_rejected_by_name(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
@@ -112,7 +118,8 @@ def test_gd_rate_audit_rejects_bad_arguments(eta_gd, steps, message):
         gd_rate_audit(QUAD, ORIGIN, eta_gd, steps)
 
 
-def test_gd_envelope_check_fails_a_negative_step_count():
-    result = check_gd_envelope(QUAD, steps=-3)
-    assert not result.passed
-    assert result.detail == "steps must be nonnegative"
+def test_gd_envelope_check_rejects_a_negative_step_count():
+    # A bad argument raises, as in the other suites; only an envelope
+    # violation is a FAIL result.
+    with pytest.raises(ValueError, match="^steps must be nonnegative$"):
+        check_gd_envelope(QUAD, steps=-3)
