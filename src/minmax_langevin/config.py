@@ -275,10 +275,10 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, tuple) or isinstance(value, np.ndarray):
         flat = np.asarray(value, dtype=float).ravel()
         return "[" + ", ".join(repr(float(x)) for x in flat) + "]"

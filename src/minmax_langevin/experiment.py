@@ -45,6 +45,7 @@ from .metrics import MetricsRecord, fit_gaussian, gaussian_kl, gaussian_w2
 from .oracle import (
     GaussianDist,
     equilibrium_variance,
+    gibbs_product,
     joint_equilibrium,
     kl_bias_bound,
     transient_kl_envelope,
@@ -143,13 +144,9 @@ def _equilibrium_reference(spec, tau: float):
     assert isinstance(spec, PerturbedQuadratic)
     z_star, _ = solve_equilibrium(spec)
     shift = spec.amplitude * spec.frequency**2
-    d = spec.dim
     h_x = spec.base.A - shift * np.diag(np.cos(spec.frequency * z_star.x))
     h_y = spec.base.B - shift * np.diag(np.cos(spec.frequency * z_star.y))
-    cov = np.zeros((2 * d, 2 * d))
-    cov[:d, :d] = tau * np.linalg.inv(h_x)
-    cov[d:, d:] = tau * np.linalg.inv(h_y)
-    return GaussianDist(mean=z_star.vector, cov=cov), "gaussian_proxy"
+    return gibbs_product(tau, z_star, h_x, h_y), "gaussian_proxy"
 
 
 def _numpy_simd() -> dict:
@@ -222,12 +219,10 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
         avg_mean = pairs.mean(axis=0)
         if not np.isfinite(avg_mean).all():
             raise DivergenceError(step, "checkpoint statistics overflowed")
-        fit, degenerate = (None, True)
-        if state.n_particles >= 2:
-            fit, degenerate = fit_gaussian(pairs)
+        fit = fit_gaussian(pairs)[0] if state.n_particles >= 2 else None
         cov_trace = float(np.trace(fit.cov)) if fit is not None else 0.0
         kl = w2 = None
-        if reference is not None and fit is not None and not degenerate:
+        if reference is not None and fit is not None and not fit.degenerate:
             kl = gaussian_kl(fit, reference)
             w2 = gaussian_w2(fit, reference)
         gap = duality_gap_bound(spec, JointPoint(x=avg_mean[:d], y=avg_mean[d:]))

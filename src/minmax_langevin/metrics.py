@@ -3,7 +3,9 @@
 Closed-form divergences between Gaussians (KL, squared Wasserstein-2,
 relative Fisher information) evaluate the theory envelopes exactly; the
 empirical side is a Gaussian plug-in fit (sample mean and covariance) plus
-exact 1-d optimal transport.
+exact 1-d optimal transport.  The divergences read :class:`GaussianDist`'s
+cached factors and its one degeneracy rule, so a degenerate fit has
+infinite KL and no Fisher information.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracle import GaussianDist
+from .oracle import GaussianDist, sqrtm_psd
 from .payoff import require
 # standard_normal_block stays bound: perfbench/tracer.py patches it by name.
 from .rng import standard_normal_block
@@ -25,9 +27,6 @@ __all__ = [
     "gaussian_relative_fi",
     "empirical_w2_1d",
 ]
-
-# Eigenvalues below this are treated as zero when rooting covariances.
-_PSD_CLIP = 1e-12
 
 
 @dataclass
@@ -54,7 +53,7 @@ class MetricsRecord:
 def fit_gaussian(samples: np.ndarray):
     """Plug-in Gaussian fit: sample mean and unbiased (n-1) covariance.
 
-    Returns ``(dist, degenerate)`` where ``degenerate`` flags a rank-deficient
+    Returns ``(dist, dist.degenerate)``: the flag marks a rank-deficient
     covariance (smallest eigenvalue at or below the PSD clip).
     """
     samples = np.asarray(samples, dtype=float)
@@ -64,8 +63,8 @@ def fit_gaussian(samples: np.ndarray):
     centered = samples - mean
     cov = centered.T @ centered / (samples.shape[0] - 1)
     cov = 0.5 * (cov + cov.T)
-    degenerate = bool(np.linalg.eigvalsh(cov).min() <= _PSD_CLIP)
-    return GaussianDist(mean=mean, cov=cov), degenerate
+    dist = GaussianDist(mean=mean, cov=cov)
+    return dist, dist.degenerate
 
 
 def _check_dims(p: GaussianDist, q: GaussianDist):
@@ -76,36 +75,24 @@ def _check_dims(p: GaussianDist, q: GaussianDist):
 def gaussian_kl(p: GaussianDist, q: GaussianDist) -> float:
     """KL(p || q) = (tr(Sq^-1 Sp) + dm' Sq^-1 dm - m + ln det Sq - ln det Sp) / 2."""
     _check_dims(p, q)
-    m = p.dim
-    sign_q, logdet_q = np.linalg.slogdet(q.cov)
-    if sign_q <= 0:
+    if q.degenerate:
         raise ValueError("q.cov must be nonsingular")
-    sign_p, logdet_p = np.linalg.slogdet(p.cov)
-    if sign_p <= 0:
+    if p.degenerate:
         # p degenerate: KL is +inf relative to any full-rank q.
         return float("inf")
-    q_inv = np.linalg.inv(q.cov)
     dm = q.mean - p.mean
     kl = 0.5 * (
-        float(np.trace(q_inv @ p.cov)) + float(dm @ q_inv @ dm) - m
-        + logdet_q - logdet_p
+        float(np.trace(q.precision @ p.cov)) + float(dm @ q.precision @ dm)
+        - p.dim + q.logdet - p.logdet
     )
     return max(kl, 0.0)
-
-
-def _sqrtm_psd(mat: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition, clipping at zero."""
-    vals, vecs = np.linalg.eigh(mat)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.T
 
 
 def gaussian_w2(p: GaussianDist, q: GaussianDist) -> float:
     """Squared W2: |dm|^2 + tr(Sp + Sq - 2 (Sq^1/2 Sp Sq^1/2)^1/2)."""
     _check_dims(p, q)
     dm = p.mean - q.mean
-    root_q = _sqrtm_psd(q.cov)
-    cross = _sqrtm_psd(root_q @ p.cov @ root_q)
+    cross = sqrtm_psd(q.root @ p.cov @ q.root)
     value = float(dm @ dm) + float(
         np.trace(p.cov) + np.trace(q.cov) - 2.0 * np.trace(cross)
     )
@@ -119,12 +106,10 @@ def gaussian_relative_fi(p: GaussianDist, q: GaussianDist) -> float:
     """
     _check_dims(p, q)
     for name, dist in (("p", p), ("q", q)):
-        if np.linalg.eigvalsh(dist.cov).min() <= _PSD_CLIP:
+        if dist.degenerate:
             raise ValueError(f"{name}.cov must be nonsingular")
-    q_inv = np.linalg.inv(q.cov)
-    p_inv = np.linalg.inv(p.cov)
-    dm = q_inv @ (p.mean - q.mean)
-    diff = q_inv - p_inv
+    dm = q.precision @ (p.mean - q.mean)
+    diff = q.precision - p.precision
     value = float(dm @ dm) + float(np.trace(diff @ p.cov @ diff))
     return max(value, 0.0)
 

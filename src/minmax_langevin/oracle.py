@@ -5,8 +5,9 @@ with the saddle point as mean and covariances set by the temperature:
 
     nu_X = N(x*, tau * A^{-1}),    nu_Y = N(y*, tau * B^{-1}).
 
-The symbolic best-response map (:func:`gaussian_best_response`) is kept as an
-independent route to the same object: applying it once to the output of
+:func:`gibbs_product` is the one builder of such a Gibbs law.  The symbolic
+best-response map (:func:`gaussian_best_response`) is kept as an independent
+route to the same object: applying it once to the output of
 :func:`quadratic_equilibrium` must return the pair unchanged.
 
 The remaining functions evaluate the bias/variance/initialization bounds and
@@ -17,8 +18,9 @@ values; all envelopes are upper bounds only.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .payoff import Constants, PayoffSpec, QuadraticBilinear, require
 __all__ = [
     "GaussianDist",
     "Plan",
+    "gibbs_product",
     "gaussian_best_response",
     "quadratic_equilibrium",
     "joint_equilibrium",
@@ -39,12 +42,29 @@ __all__ = [
 ]
 
 
+# Eigenvalues at or below this count as zero: the one degeneracy rule.
+PSD_CLIP = 1e-12
+
+
+def sqrtm_psd(mat: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root via eigendecomposition, clipping at zero."""
+    vals, vecs = np.linalg.eigh(mat)
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * np.sqrt(vals)) @ vecs.T
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianDist:
-    """Gaussian with mean vector and (symmetric PSD) covariance matrix."""
+    """Gaussian with mean vector and (symmetric PSD) covariance matrix.
+
+    The one home of covariance algebra: the eigensolve that checks ``cov``
+    also sets ``degenerate`` (smallest eigenvalue <= PSD_CLIP), and
+    ``precision``, ``logdet`` and ``root`` are computed once, on first use.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
+    degenerate: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -52,12 +72,30 @@ class GaussianDist:
         m = mean.shape[0]
         if mean.ndim != 1 or cov.shape != (m, m):
             raise ValueError("mean must be (m,) and cov (m, m)")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and cov must be finite")
         if not np.allclose(cov, cov.T, atol=1e-10):
             raise ValueError("cov must be symmetric")
-        if np.linalg.eigvalsh(cov).min() < -1e-10:
+        smallest = np.linalg.eigvalsh(cov).min()
+        if smallest < -1e-10:
             raise ValueError("cov must be positive semidefinite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "degenerate", bool(smallest <= PSD_CLIP))
+
+    @functools.cached_property
+    def precision(self) -> np.ndarray:
+        return np.linalg.inv(self.cov)
+
+    @functools.cached_property
+    def logdet(self) -> float:
+        """ln det cov; -inf unless the determinant's sign is +1."""
+        sign, logdet = np.linalg.slogdet(self.cov)
+        return float(logdet) if sign == 1 else -math.inf
+
+    @functools.cached_property
+    def root(self) -> np.ndarray:
+        return sqrtm_psd(self.cov)
 
     @classmethod
     def isotropic(cls, mean, scale: float) -> "GaussianDist":
@@ -86,6 +124,24 @@ def _require_quadratic(spec: PayoffSpec) -> QuadraticBilinear:
     return spec
 
 
+def gibbs_product(tau: float, z: JointPoint, h_x, h_y) -> GaussianDist:
+    """N(x, tau h_x^-1) (x) N(y, tau h_y^-1) for z = (x, y), as one
+    block-diagonal Gaussian on R^{2d}: the Gibbs law of a quadratic energy."""
+    require("positive", tau=tau)
+    d = z.x.shape[0]
+    cov = np.zeros((2 * d, 2 * d))
+    cov[:d, :d] = tau * np.linalg.inv(h_x)
+    cov[d:, d:] = tau * np.linalg.inv(h_y)
+    return GaussianDist(mean=z.vector, cov=cov)
+
+
+def _split(joint: GaussianDist):
+    """The two players' factors of a block-diagonal joint Gaussian."""
+    d = joint.dim // 2
+    return tuple(GaussianDist(mean=joint.mean[s], cov=joint.cov[s, s])
+                 for s in (slice(None, d), slice(d, None)))
+
+
 def gaussian_best_response(
     spec: PayoffSpec, tau: float, rho_x: GaussianDist, rho_y: GaussianDist
 ):
@@ -97,36 +153,21 @@ def gaussian_best_response(
     through its mean (and symmetrically for the other player).
     """
     spec = _require_quadratic(spec)
-    require("positive", tau=tau)
-    nu_x = GaussianDist(
-        mean=np.linalg.solve(spec.A, -(spec.C @ rho_y.mean + spec.u)),
-        cov=tau * np.linalg.inv(spec.A),
-    )
-    nu_y = GaussianDist(
-        mean=np.linalg.solve(spec.B, spec.C.T @ rho_x.mean + spec.v),
-        cov=tau * np.linalg.inv(spec.B),
-    )
-    return nu_x, nu_y
+    z = JointPoint(x=np.linalg.solve(spec.A, -(spec.C @ rho_y.mean + spec.u)),
+                   y=np.linalg.solve(spec.B, spec.C.T @ rho_x.mean + spec.v))
+    return _split(gibbs_product(tau, z, spec.A, spec.B))
 
 
 def quadratic_equilibrium(spec: PayoffSpec, tau: float):
     """The equilibrium pair (nu_X, nu_Y) = (N(x*, tau A^-1), N(y*, tau B^-1))."""
-    spec = _require_quadratic(spec)
-    require("positive", tau=tau)
-    z_star, _ = solve_equilibrium(spec)
-    nu_x = GaussianDist(mean=z_star.x, cov=tau * np.linalg.inv(spec.A))
-    nu_y = GaussianDist(mean=z_star.y, cov=tau * np.linalg.inv(spec.B))
-    return nu_x, nu_y
+    return _split(joint_equilibrium(spec, tau))
 
 
 def joint_equilibrium(spec: PayoffSpec, tau: float) -> GaussianDist:
     """The product nu_Z = nu_X (x) nu_Y as one block-diagonal Gaussian on R^{2d}."""
-    nu_x, nu_y = quadratic_equilibrium(spec, tau)
-    d = nu_x.dim
-    cov = np.zeros((2 * d, 2 * d))
-    cov[:d, :d] = nu_x.cov
-    cov[d:, d:] = nu_y.cov
-    return GaussianDist(mean=np.concatenate([nu_x.mean, nu_y.mean]), cov=cov)
+    spec = _require_quadratic(spec)
+    z_star, _ = solve_equilibrium(spec)
+    return gibbs_product(tau, z_star, spec.A, spec.B)
 
 
 def equilibrium_variance(spec: PayoffSpec, tau: float) -> float:

@@ -158,6 +158,20 @@ class TestParsing:
         assert parse_config(serialize_config(cfg)) == cfg
         numpy_seed = dataclasses.replace(cfg, seed=np.uint64(7))
         assert serialize_config(numpy_seed) == serialize_config(cfg)
+        # A float or bool built as a numpy scalar is written as its Python
+        # value, so the text re-parses to an equal config.
+        pert = parse_config(config_with(tmp_path, {
+            "payoff.kind": "PerturbedQuadratic", "payoff.amplitude": "0.1",
+            "payoff.frequency": "1.5",
+            "algorithm.eta": "0.01", "algorithm.strict_eta": "false"}))
+        numpy_scalars = dataclasses.replace(
+            pert,
+            payoff=dataclasses.replace(pert.payoff, amplitude=np.float64(0.1)),
+            algorithm=dataclasses.replace(pert.algorithm, eta=np.float64(0.01),
+                                          strict_eta=np.bool_(False)),
+        )
+        assert serialize_config(numpy_scalars) == serialize_config(pert)
+        assert parse_config(serialize_config(numpy_scalars)) == pert
 
     def test_readme_example_serializes_to_pinned_text(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -8,6 +8,8 @@ from scipy.stats import norm
 from minmax_langevin import (
     GaussianDist,
     create_stream,
+    parse_config,
+    run_experiment,
     derive_stream_id,
     empirical_w2_1d,
     fit_gaussian,
@@ -154,6 +156,47 @@ class TestRelativeFisher:
         p = GaussianDist(mean=np.zeros(1), cov=np.zeros((1, 1)))
         with pytest.raises(ValueError, match="nonsingular"):
             gaussian_relative_fi(p, gauss1(0, 1))
+
+
+class TestCovarianceAlgebra:
+    def test_one_degeneracy_rule_at_its_margin(self):
+        # Sample covariance diag(4/3, 1e-13): positive definite in exact
+        # arithmetic, with a positive determinant sign, but its smallest
+        # eigenvalue is under PSD_CLIP, so every divergence treats it as
+        # singular.
+        s = np.sqrt(0.75e-13)
+        fit, degenerate = fit_gaussian(np.array([[1, s], [-1, -s], [1, -s], [-1, s]]))
+        np.testing.assert_allclose(np.diag(fit.cov), [4.0 / 3.0, 1e-13], rtol=1e-12)
+        assert degenerate and fit.degenerate
+        assert fit.logdet > -np.inf
+        full = GaussianDist.isotropic(np.zeros(2), 1.0)
+        assert not full.degenerate
+        assert gaussian_kl(fit, full) == np.inf
+        with pytest.raises(ValueError, match="q.cov must be nonsingular"):
+            gaussian_kl(full, fit)
+        with pytest.raises(ValueError, match="p.cov must be nonsingular"):
+            gaussian_relative_fi(fit, full)
+
+    def test_reference_factors_are_computed_once_per_run(self, tmp_path, monkeypatch):
+        # A record every step or every tenth step: the run inverts the same
+        # matrices, because the reference keeps its precision.
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(1) or inv(a))
+        counts = []
+        for every in (1, 10):
+            config = parse_config(
+                "payoff.kind = QuadraticBilinear\npayoff.dim = 2\n"
+                "payoff.A = [1.0, 0.2, 0.2, 0.8]\npayoff.B = [0.9, 0.0, 0.0, 1.1]\n"
+                "payoff.C = [0.3, -0.2, 0.1, 0.4]\ntau = 0.5\nseed = 3\n"
+                f"checkpoint_every = {every}\nalgorithm.eta = 0.005\n"
+                "algorithm.n_particles = 16\nalgorithm.steps = 30\n"
+                "init.mean_mode = zero\n"
+            )
+            calls.clear()
+            run_experiment(config, output_dir=tmp_path / str(every))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestEmpiricalW2:

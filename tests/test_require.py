@@ -80,10 +80,18 @@ def test_the_first_failing_value_is_named():
     (lambda: derive_stream_id("x", 0, NAN), "step must be nonnegative"),
     (lambda: KeyedNoise(0).block("x", 2, NAN, 1), "step must be nonnegative"),
     (lambda: standard_normal_block(create_stream(0, 1), NAN), "n must be at least 1"),
+    (lambda: GaussianDist(mean=[NAN, 0.0], cov=np.eye(2)), "mean and cov must be finite"),
+    (lambda: GaussianDist(mean=[math.inf, 0.0], cov=np.eye(2)),
+     "mean and cov must be finite"),
+    (lambda: GaussianDist(mean=np.zeros(2), cov=np.diag([math.inf, 1.0])),
+     "mean and cov must be finite"),
+    (lambda: GaussianDist(mean=np.zeros(2), cov=np.diag([NAN, 1.0])),
+     "mean and cov must be finite"),
 ], ids=["amplitude", "frequency", "gd_step", "record-kl", "record-w2",
         "contraction", "envelope-k", "bias-d", "bias-n", "fisher-d", "plan-d",
         "state-step", "isotropic", "max_iters", "stream-id-step", "keyed-step",
-        "block-n"])
+        "block-n", "gaussian-nan-mean", "gaussian-inf-mean", "gaussian-inf-cov",
+        "gaussian-nan-cov"])
 def test_an_unchecked_argument_is_rejected_by_name(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
