@@ -21,7 +21,8 @@ row-major bracketed lists of numbers, or plain text.  ``#`` always starts a
 comment, also inside a value, so ``output.dir = runs/#3`` means ``runs/``.
 An absent optional key takes the default of its dataclass field.  Unknown
 keys are rejected, and every invariant is checked at parse time with a
-field-level message.  ``serialize_config`` is the one emitter of the format.
+field-level message.  One table of keys, ``_KEYS``, drives ``parse_config``
+and ``serialize_config``, the one emitter of the format.
 """
 
 from __future__ import annotations
@@ -140,11 +141,19 @@ _INIT_TYPES = {
     "kind": str, "mean_mode": str, "mean": tuple, "cov_scale": float, "snapshot": str,
 }
 
-# Every key outside ``payoff.*``: key -> (type, section, dataclass field,
-# required), in the order serialize_config writes them.  A section names the
-# object that holds the field: "algorithm" (AlgorithmParams), "experiment"
-# (ExperimentConfig), "init" and "coupled" (InitSpec).
+_MATRICES = ("A", "B", "C")  # the payoff keys read as row-major dim x dim lists
+
+# Every key but ``payoff.kind``, which names the payoff class and comes first:
+# key -> (type, section, dataclass field, required), in emit order.  A section
+# names the object holding the field: "payoff" (QuadraticBilinear, or the base
+# of a PerturbedQuadratic), "ripple" (PerturbedQuadratic), "algorithm"
+# (AlgorithmParams), "experiment" (ExperimentConfig), "init"/"coupled" (InitSpec).
 _KEYS = {
+    "payoff.dim": (int, "payoff", "dim", True),
+    **{f"payoff.{name}": (tuple, "payoff", name, name in _MATRICES)
+       for name in (*_MATRICES, "u", "v")},
+    "payoff.amplitude": (float, "ripple", "amplitude", True),
+    "payoff.frequency": (float, "ripple", "frequency", True),
     "tau": (float, "algorithm", "tau", True),
     "seed": (int, "experiment", "seed", True),
     "checkpoint_every": (int, "experiment", "checkpoint_every", False),
@@ -201,47 +210,31 @@ def _fields(values: dict, section: str) -> dict:
     return {name: value for name, value in taken.items() if value is not None}
 
 
-def _matrix(values: dict, key: str, dim: int) -> np.ndarray:
-    raw = _take(values, key, tuple, required=True)
-    if len(raw) != dim * dim:
-        raise ConfigError(f"{key}: expected a row-major list of {dim * dim} numbers")
-    return np.array(raw, dtype=float).reshape(dim, dim)
-
-
-def _vector(values: dict, key: str, dim: int):
-    raw = _take(values, key, tuple)
-    if raw is None:
-        return None
-    if len(raw) != dim:
-        raise ConfigError(f"{key}: expected a list of {dim} numbers")
-    return np.array(raw, dtype=float)
-
-
 def _parse_payoff(values: dict) -> PayoffSpec:
     kind = _take(values, "payoff.kind", str, required=True)
-    dim = _take(values, "payoff.dim", int, required=True)
+    if kind not in ("QuadraticBilinear", "PerturbedQuadratic"):
+        raise ConfigError(f"payoff.kind must be QuadraticBilinear or PerturbedQuadratic, "
+                          f"got {kind!r}")
+    fields = _fields(values, "payoff")
+    dim = fields.pop("dim")
     if dim < 1:
         raise ConfigError("payoff.dim must be a positive integer")
-    matrices = {name: _matrix(values, f"payoff.{name}", dim) for name in ("A", "B", "C")}
-    vectors = {name: _vector(values, f"payoff.{name}", dim) for name in ("u", "v")}
+    for name, value in fields.items():
+        matrix = name in _MATRICES
+        size = dim * dim if matrix else dim
+        if len(value) != size:
+            layout = "a row-major list" if matrix else "a list"
+            raise ConfigError(f"payoff.{name}: expected {layout} of {size} numbers")
+        fields[name] = np.reshape(value, (dim, dim) if matrix else dim)
+    perturbed = kind == "PerturbedQuadratic"
+    ripple = _fields(values, "ripple") if perturbed else {}
+    if "payoff.amplitude" in values or "payoff.frequency" in values:
+        raise ConfigError("payoff.amplitude/frequency apply only to PerturbedQuadratic")
     try:
-        base = QuadraticBilinear(dim=dim, **matrices, **vectors)
-        if kind == "QuadraticBilinear":
-            if "payoff.amplitude" in values or "payoff.frequency" in values:
-                raise ConfigError(
-                    "payoff.amplitude/frequency apply only to PerturbedQuadratic"
-                )
-            return base
-        if kind == "PerturbedQuadratic":
-            amplitude = _take(values, "payoff.amplitude", float, required=True)
-            frequency = _take(values, "payoff.frequency", float, required=True)
-            return PerturbedQuadratic(base=base, amplitude=amplitude, frequency=frequency)
-    except ConfigError:
-        raise
+        base = QuadraticBilinear(dim=dim, **fields)
+        return PerturbedQuadratic(base=base, **ripple) if perturbed else base
     except ValueError as exc:
         raise ConfigError(f"payoff: {exc}") from exc
-    raise ConfigError(f"payoff.kind must be QuadraticBilinear or PerturbedQuadratic, "
-                      f"got {kind!r}")
 
 
 def _parse_init(values: dict, prefix: str) -> InitSpec | None:
@@ -288,19 +281,16 @@ def _fmt(value) -> str:
 def serialize_config(config: ExperimentConfig) -> str:
     """Emit a document that parses back to an equal config."""
     spec = config.payoff
-    base = spec.base if isinstance(spec, PerturbedQuadratic) else spec
-    payoff = {"kind": type(spec).__name__, "dim": base.dim,
-              **{name: getattr(base, name) for name in ("A", "B", "C", "u", "v")}}
-    if isinstance(spec, PerturbedQuadratic):
-        payoff.update(amplitude=spec.amplitude, frequency=spec.frequency)
-    lines = [f"payoff.{name} = {_fmt(value)}" for name, value in payoff.items()]
-    owners = {"algorithm": config.algorithm, "experiment": config,
+    ripple = spec if isinstance(spec, PerturbedQuadratic) else None
+    owners = {"payoff": spec if ripple is None else spec.base, "ripple": ripple,
+              "algorithm": config.algorithm, "experiment": config,
               "init": config.init, "coupled": config.coupled}
+    lines = [f"payoff.kind = {type(spec).__name__}"]
     for key, (_, section, name, _) in _KEYS.items():
         owner = owners[section]
         value = None if owner is None else getattr(owner, name)
-        # Not written, since each reads back as it is: an absent coupled
-        # section, None, and an empty text or list equal to its default.
+        # Not written, since each reads back as it is: an absent ripple or
+        # coupled section, None, and an empty text or list equal to its default.
         if value is None or (isinstance(value, (str, tuple)) and not value
                              and value == getattr(type(owner), name)):
             continue

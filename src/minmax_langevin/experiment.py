@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import platform
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -163,6 +164,17 @@ def _numpy_simd() -> dict:
     return {"baseline": list(umath.__cpu_baseline__), "found": found}
 
 
+@contextmanager
+def _overflow_raises(error: Exception):
+    """Raise ``error`` for a numpy overflow or invalid operation: the inputs
+    are finite, so only those can make a statistic of them nonfinite."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise error from None
+
+
 def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
     """Execute a configured run and write metrics.csv + manifest.json."""
     t_start = time.perf_counter()
@@ -189,13 +201,17 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
     bias_value = None
     variance_reading = "n/a"
     if quadratic and config.tau > 0.0 and init_law is not None:
-        var_exact = equilibrium_variance(spec, config.tau)
         variance_reading = "exact"
-        bias_value = kl_bias_bound(
-            constants.alpha, constants.smooth_L, config.tau, d, n, eta, var_exact
-        )
-        kl0 = gaussian_kl(init_law, reference)
-        w20 = gaussian_w2(init_law, reference)
+        # These depend on the config alone, so their overflow is its error.
+        with _overflow_raises(ConfigError(
+                "tau, init.cov_scale: the exact variance, bias bound or "
+                "initial KL/W2 overflows")):
+            var_exact = equilibrium_variance(spec, config.tau)
+            bias_value = kl_bias_bound(
+                constants.alpha, constants.smooth_L, config.tau, d, n, eta, var_exact
+            )
+            kl0 = gaussian_kl(init_law, reference)
+            w20 = gaussian_w2(init_law, reference)
 
         def envelope(step: int, _bias=bias_value) -> float:
             return transient_kl_envelope(
@@ -216,16 +232,16 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
         if config.snapshots == "all":
             save_snapshot(out / f"snapshot_{step:08d}.csv", state)
         pairs = state.pairs()
-        avg_mean = pairs.mean(axis=0)
-        if not np.isfinite(avg_mean).all():
-            raise DivergenceError(step, "checkpoint statistics overflowed")
-        fit = fit_gaussian(pairs)[0] if state.n_particles >= 2 else None
-        cov_trace = float(np.trace(fit.cov)) if fit is not None else 0.0
-        kl = w2 = None
-        if reference is not None and fit is not None and not fit.degenerate:
-            kl = gaussian_kl(fit, reference)
-            w2 = gaussian_w2(fit, reference)
-        gap = duality_gap_bound(spec, JointPoint(x=avg_mean[:d], y=avg_mean[d:]))
+        with _overflow_raises(DivergenceError(step, "checkpoint statistics overflowed")):
+            fit = fit_gaussian(pairs)[0] if state.n_particles >= 2 else None
+            avg_mean = fit.mean if fit is not None else pairs.mean(axis=0)
+            cov_trace = float(np.trace(fit.cov)) if fit is not None else 0.0
+            kl = w2 = None
+            if reference is not None and fit is not None and not fit.degenerate:
+                kl = gaussian_kl(fit, reference)
+                w2 = gaussian_w2(fit, reference)
+            gap = duality_gap_bound(spec, JointPoint(x=avg_mean[:d], y=avg_mean[d:]))
+            distance = coupling_distance_sq(pair) if coupled else None
         return MetricsRecord(
             step=step,
             wall_time=time.perf_counter() - t_start,
@@ -234,7 +250,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
             kl_fit_to_eq=kl,
             w2_fit_to_eq_sq=w2,
             grad_gap_bound=gap,
-            coupling_dist_sq=coupling_distance_sq(pair) if coupled else None,
+            coupling_dist_sq=distance,
             envelope_kl=envelope(step) if envelope is not None else None,
             bias_bound=bias_value,
         )

@@ -29,6 +29,7 @@ stability at ``eta < alpha / (2 L**2)``, the min-max GD rate at
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,12 @@ class Constants:
                 f"constants must satisfy 0 < alpha <= smooth_L, "
                 f"got alpha={self.alpha}, smooth_L={self.smooth_L}"
             )
+        # smooth_L**4 is the largest power a run takes (the KL bias bound;
+        # alpha**3 <= smooth_L**3), so no power a run takes overflows.
+        squared = self.smooth_L * self.smooth_L
+        if not math.isfinite(squared * squared):
+            raise ValueError(f"smooth_L**4 is outside floating-point range, "
+                             f"got smooth_L={self.smooth_L}")
 
     @property
     def eta_stable(self) -> float:  # the particle update needs eta < eta_stable
@@ -200,7 +207,11 @@ class PerturbedQuadratic:
     def __post_init__(self):
         require("nonnegative", amplitude=self.amplitude)
         require("positive", frequency=self.frequency)
-        shift = self.amplitude * self.frequency**2
+        try:
+            shift = self.amplitude * self.frequency**2
+        except OverflowError:
+            raise ValueError(f"frequency**2 is outside floating-point range, "
+                             f"got frequency={self.frequency}") from None
         base = self.base.constants()
         if shift > 0.5 * base.alpha:
             raise ValueError(

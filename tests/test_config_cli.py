@@ -669,3 +669,48 @@ class TestCliEdgePaths:
                      "--dim", "1", "--eps", "1e-300"])
         assert code == 2
         assert "--eps 1e-300" in capsys.readouterr().err
+
+
+class TestExtremeFiniteInputs:
+    """Finite values at the edge of the float range end in a named exit code."""
+
+    @pytest.mark.parametrize("settings", [
+        {"payoff.kind": "PerturbedQuadratic", "payoff.amplitude": "0.1",
+         "payoff.frequency": "1e200"},
+        {"payoff.A": "[1e200]"},
+        {"payoff.A": "[1e120]", "payoff.B": "[1e120]", "algorithm.eta": "1e-125"},
+        {"payoff.A": "[1e100]", "payoff.B": "[1e100]", "algorithm.eta": "1e-105",
+         "init.mean_mode": "zero"},
+    ], ids=["frequency", "A", "AB-1e120", "AB-1e100"])
+    def test_payoff_overflow_is_config_error(self, tmp_path, capsys, settings):
+        cfg_path = tmp_path / "extreme.cfg"
+        cfg_path.write_text(config_with(tmp_path, settings))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: payoff: ")
+        assert "is outside floating-point range" in err
+
+    # On a quadratic payoff the exact statistics, set from the config before
+    # any step, overflow first; a perturbed payoff has none, so the fit does.
+    @pytest.mark.parametrize("kind, code, message", [
+        ("QuadraticBilinear", 2, "config error: tau, init.cov_scale: "),
+        ("PerturbedQuadratic", 3, "divergence: step 0: checkpoint statistics overflowed"),
+    ], ids=["quadratic", "perturbed"])
+    @pytest.mark.parametrize("settings", [
+        {"tau": "1e200"},
+        {"tau": "1e308"},
+        {"init.cov_scale": "1e308"},
+    ], ids=["tau-1e200", "tau-1e308", "cov_scale-1e308"])
+    @pytest.mark.parametrize("command", ["run", "couple"])
+    def test_overflowing_statistics_exit_by_name(self, tmp_path, capsys, settings,
+                                                 command, kind, code, message):
+        settings = {**settings, "payoff.kind": kind}
+        if kind == "PerturbedQuadratic":
+            settings = {**settings, "payoff.amplitude": "0.1", "payoff.frequency": "1.0"}
+        if command == "couple":
+            settings = {**settings, "coupled.mean_mode": "zero",
+                        "coupled.cov_scale": "0.5"}
+        cfg_path = tmp_path / "extreme.cfg"
+        cfg_path.write_text(config_with(tmp_path, settings))
+        assert main([command, "--config", str(cfg_path)]) == code
+        assert capsys.readouterr().err.startswith(message)

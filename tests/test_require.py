@@ -61,6 +61,12 @@ def test_the_first_failing_value_is_named():
      "amplitude must be nonnegative"),
     (lambda: PerturbedQuadratic(base=QUAD, amplitude=0.1, frequency=NAN),
      "frequency must be positive"),
+    (lambda: PerturbedQuadratic(base=QUAD, amplitude=0.1, frequency=1e200),
+     r"frequency\*\*2 is outside floating-point range, got frequency=1e\+200"),
+    (lambda: QuadraticBilinear(dim=1, A=[[1e200]], B=[[1.0]], C=[[0.5]]),
+     r"smooth_L\*\*4 is outside floating-point range, got smooth_L=1e\+200"),
+    (lambda: QuadraticBilinear(dim=1, A=[[1e100]], B=[[1.0]], C=[[0.5]]),
+     r"smooth_L\*\*4 is outside floating-point range, got smooth_L=1e\+100"),
     (lambda: gd_step(QUAD, ORIGIN, NAN), "eta_gd must be nonnegative"),
     (lambda: metrics_record(kl_fit_to_eq=NAN), "kl_fit_to_eq must be nonnegative"),
     (lambda: metrics_record(w2_fit_to_eq_sq=NAN),
@@ -87,11 +93,11 @@ def test_the_first_failing_value_is_named():
      "mean and cov must be finite"),
     (lambda: GaussianDist(mean=np.zeros(2), cov=np.diag([NAN, 1.0])),
      "mean and cov must be finite"),
-], ids=["amplitude", "frequency", "gd_step", "record-kl", "record-w2",
-        "contraction", "envelope-k", "bias-d", "bias-n", "fisher-d", "plan-d",
-        "state-step", "isotropic", "max_iters", "stream-id-step", "keyed-step",
-        "block-n", "gaussian-nan-mean", "gaussian-inf-mean", "gaussian-inf-cov",
-        "gaussian-nan-cov"])
+], ids=["amplitude", "frequency", "frequency-squared", "smooth_L-1e200", "smooth_L-1e100",
+        "gd_step", "record-kl", "record-w2", "contraction", "envelope-k", "bias-d",
+        "bias-n", "fisher-d", "plan-d", "state-step", "isotropic", "max_iters",
+        "stream-id-step", "keyed-step", "block-n", "gaussian-nan-mean",
+        "gaussian-inf-mean", "gaussian-inf-cov", "gaussian-nan-cov"])
 def test_an_unchecked_argument_is_rejected_by_name(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
