@@ -69,25 +69,21 @@ def _cmd_plan(args) -> int:
     flags = {"--" + dest.replace("_", "-"): getattr(args, dest)
              for dest in ("alpha", "smooth_l", "tau", "dim", "eps", "z_star_norm_sq")}
     given = ", ".join(f"{flag} {value}" for flag, value in flags.items())
+    for flag, value in flags.items():
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be a finite number, got {value}")
     try:
-        for flag, value in flags.items():
-            if not math.isfinite(value):
-                raise ValueError(f"{flag} must be a finite number, got {value}")
-        try:
-            plan = plan_parameters(
-                args.alpha, args.smooth_l, args.tau, args.dim, args.eps,
-                args.z_star_norm_sq,
-            )
-            text = serialize_config(_plan_config(args, plan))
-        except (OverflowError, ZeroDivisionError) as exc:
-            # args[-1] is the text; a float ** overflow puts an errno first.
-            raise ValueError(f"the plan for {given} is outside floating-point "
-                             f"range: {exc.args[-1]}") from exc
-        except ValueError as exc:
-            raise ValueError(f"{exc}, in the plan for {given}") from exc
+        plan = plan_parameters(
+            args.alpha, args.smooth_l, args.tau, args.dim, args.eps,
+            args.z_star_norm_sq,
+        )
+        text = serialize_config(_plan_config(args, plan))
+    except (OverflowError, ZeroDivisionError) as exc:
+        # args[-1] is the text; a float ** overflow puts an errno first.
+        raise ConfigError(f"the plan for {given} is outside floating-point "
+                          f"range: {exc.args[-1]}") from exc
     except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"{exc}, in the plan for {given}") from exc
     print(f"eta            = {plan.eta:.17g}")
     print(f"n_particles    = {plan.n_particles}")
     print(f"iters          = {plan.iters}")

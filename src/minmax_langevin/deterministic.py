@@ -11,6 +11,7 @@ asks for.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -56,10 +57,10 @@ class JointPoint:
         return np.concatenate([self.x, self.y])
 
 
-def grad_norm(spec: PayoffSpec, z: JointPoint) -> float:
-    """|grad V(z)| over both players."""
-    gx = spec.grad_x(z.x, z.y)
-    gy = spec.grad_y(z.x, z.y)
+def grad_norm(spec: PayoffSpec, z: JointPoint, scale: float = 1.0) -> float:
+    """|grad V(z)| / scale over both players, scaled before it is squared."""
+    gx = spec.grad_x(z.x, z.y) / scale
+    gy = spec.grad_y(z.x, z.y) / scale
     return float(np.sqrt(gx @ gx + gy @ gy))
 
 
@@ -98,29 +99,32 @@ def warm_start_tolerance(spec: PayoffSpec, tau: float) -> float:
 def solve_equilibrium(
     spec: PayoffSpec, tol: float = 1e-10, max_iters: int = 1_000_000
 ) -> tuple[JointPoint, int]:
-    """Equilibrium point with |grad V(z*)| <= tol, plus iterations used.
+    """Equilibrium point with |grad V(z*)| <= tol * s, plus iterations used.
 
-    Quadratic payoffs are solved directly (0 iterations); the perturbed
-    family runs gradient descent-ascent at eta = alpha / (4 L^2) from the
-    base-quadratic solution.
+    The scale ``s = max(1, |grad V(0)|) = max(1, |(u, v)|)`` makes the test
+    relative to the linear terms, whose size the rounding residual of any
+    solve grows with.  Quadratic payoffs are solved directly (0 iterations);
+    the perturbed family runs gradient descent-ascent at eta = alpha / (4 L^2)
+    from the base-quadratic solution.
     """
     require("positive", tol=tol)
     require("nonnegative", max_iters=max_iters)
-    if isinstance(spec, QuadraticBilinear):
-        z = _solve_quadratic(spec)
-        if grad_norm(spec, z) > tol:
+    base = spec if isinstance(spec, QuadraticBilinear) else spec.base
+    scale = max(1.0, math.hypot(*base.u, *base.v))
+    z = _solve_quadratic(base)
+    if base is spec:
+        if grad_norm(spec, z, scale) > tol:
             raise RuntimeError(
                 "direct linear solve failed to reach the requested residual; "
                 "the system should be invertible under the payoff invariants"
             )
         return z, 0
-    z = _solve_quadratic(spec.base)
     eta = spec.constants().eta_gd
     for k in range(max_iters):
-        if grad_norm(spec, z) <= tol:
+        if grad_norm(spec, z, scale) <= tol:
             return z, k
         z = gd_step(spec, z, eta)
-    if grad_norm(spec, z) <= tol:
+    if grad_norm(spec, z, scale) <= tol:
         return z, max_iters
     raise RuntimeError(f"equilibrium solve did not reach tol={tol} "
                        f"within {max_iters} iterations")

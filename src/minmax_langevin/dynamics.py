@@ -163,47 +163,36 @@ class AlgorithmParams:
             )
 
 
-def _mean_field_drift(spec: PayoffSpec, xs: np.ndarray, ys: np.ndarray):
-    """(b_X, b_Y) for clouds of shape (..., N, d), averaging over axis -2.
-
-    The means are ``np.add.reduce(...) / n``: numpy's ``mean`` bit for bit,
-    without its per-call dispatch.
-    """
-    n = xs.shape[-2]
-    x_bar = np.add.reduce(xs, axis=-2, keepdims=True) / n
-    y_bar = np.add.reduce(ys, axis=-2, keepdims=True) / n
-    return -spec.grad_x(xs, y_bar), spec.grad_y(x_bar, ys)
-
-
 def drift_particles(spec: PayoffSpec, state: ParticleState):
-    """Empirical-mean drift fields (b_X, b_Y), each of the state's shape."""
+    """Empirical-mean drift fields (b_X, b_Y), each of the state's shape.
+
+    The means run over the particle axis only, as ``np.add.reduce(...) / n``
+    (numpy's ``mean`` bit for bit, without its per-call dispatch), so each
+    system of a stack drifts on its own, as it would unstacked.
+    """
     if state.dim != spec.dim:
         raise ValueError(f"state dimension {state.dim} != payoff dimension {spec.dim}")
-    return _mean_field_drift(spec, state.xs, state.ys)
+    n = state.n_particles
+    x_bar = np.add.reduce(state.xs, axis=-2, keepdims=True) / n
+    y_bar = np.add.reduce(state.ys, axis=-2, keepdims=True) / n
+    return -spec.grad_x(state.xs, y_bar), spec.grad_y(x_bar, state.ys)
 
 
 def joint_drift(spec: PayoffSpec, state: ParticleState) -> np.ndarray:
-    """The stacked vector field b_Z(z) in R^{2dN}."""
+    """b_Z(z) in R^{2Nd} per stacked system: shape (..., 2Nd), 1-d for (N, d)."""
     b_x, b_y = drift_particles(spec, state)
-    return np.concatenate([b_x.ravel(), b_y.ravel()])
+    row = state.xs.shape[:-2] + (state.n_particles * state.dim,)
+    return np.concatenate([b_x.reshape(row), b_y.reshape(row)], axis=-1)
 
 
 def batched_joint_drift(spec: PayoffSpec, zs: np.ndarray, n: int, d: int) -> np.ndarray:
-    """b_Z evaluated on a batch of joint vectors, shape (B, 2*n*d).
-
-    Used by the property probes; the same formula as :func:`joint_drift`,
-    evaluated on all rows at once.
-    """
+    """b_Z at each row of a (B, 2*n*d) batch, for the property probes:
+    :func:`joint_drift` on the (B, n, d) stack whose systems are the rows."""
     zs = np.asarray(zs, dtype=float)
     if zs.ndim != 2 or zs.shape[1] != 2 * n * d:
         raise ValueError(f"batch must have shape (B, {2 * n * d})")
-    batch = zs.shape[0]
-    b_x, b_y = _mean_field_drift(
-        spec, zs[:, : n * d].reshape(batch, n, d), zs[:, n * d :].reshape(batch, n, d)
-    )
-    return np.concatenate(
-        [b_x.reshape(batch, n * d), b_y.reshape(batch, n * d)], axis=1
-    )
+    stack = zs.reshape(zs.shape[0], 2, n, d)
+    return joint_drift(spec, ParticleState(xs=stack[:, 0], ys=stack[:, 1]))
 
 
 def contraction_factor(alpha: float, smooth_l: float, eta: float) -> float:

@@ -44,6 +44,7 @@ from .dynamics import (
 )
 from .metrics import MetricsRecord, fit_gaussian, gaussian_kl, gaussian_w2
 from .oracle import (
+    PSD_CLIP,
     GaussianDist,
     equilibrium_variance,
     gibbs_product,
@@ -189,10 +190,20 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
         key = "output.dir" if output_dir is None else "--output-dir"
         raise ConfigError(f"{key}: cannot create {out}: {exc}") from exc
 
+    # Every run steps a stack of systems that share each step's noise: system
+    # A, plus system B when coupled.* is set.  Every output but the coupling
+    # distance is system A's.
     noise = KeyedNoise(config.seed)
-    init_state_a, init_law = initial_state(config, config.init, noise)
+    systems = [initial_state(config, init, noise)
+               for init in (config.init, config.coupled) if init is not None]
+    init_law = systems[0][1]
+    coupled = config.coupled is not None
 
     reference, reference_mode = _equilibrium_reference(spec, config.tau)
+    if reference is not None and reference.degenerate:
+        # No KL is finite against it: tau is too small for the curvature.
+        raise ConfigError(f"tau, payoff: the equilibrium reference N(z*, tau H^-1) "
+                          f"is degenerate (an eigenvalue <= {PSD_CLIP:g})")
     quadratic = isinstance(spec, QuadraticBilinear)
 
     # Theory envelopes only exist for the quadratic family with a Gaussian
@@ -219,16 +230,8 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
                 config.tau, eta, step, _bias, n,
             )
 
-    # A coupled run steps systems A and B as one stacked pair sharing each
-    # step's noise; every output but the coupling distance is system A's.
-    coupled = config.coupled is not None
-    init = init_state_a
-    if coupled:
-        init_state_b, _ = initial_state(config, config.coupled, noise)
-        init = ParticleState.stacked(init_state_a, init_state_b)
-
-    def record(step: int, pair: ParticleState) -> MetricsRecord:
-        state = pair.system(0) if coupled else pair
+    def record(step: int, stack: ParticleState) -> MetricsRecord:
+        state = stack.system(0)
         if config.snapshots == "all":
             save_snapshot(out / f"snapshot_{step:08d}.csv", state)
         pairs = state.pairs()
@@ -241,7 +244,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
                 kl = gaussian_kl(fit, reference)
                 w2 = gaussian_w2(fit, reference)
             gap = duality_gap_bound(spec, JointPoint(x=avg_mean[:d], y=avg_mean[d:]))
-            distance = coupling_distance_sq(pair) if coupled else None
+            distance = coupling_distance_sq(stack) if coupled else None
         return MetricsRecord(
             step=step,
             wall_time=time.perf_counter() - t_start,
@@ -256,10 +259,10 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
         )
 
     checkpoints, final = run_algorithm(
-        spec, init, config.algorithm, config.seed,
-        config.checkpoint_every, on_checkpoint=record,
+        spec, ParticleState.stacked(*(state for state, _ in systems)),
+        config.algorithm, config.seed, config.checkpoint_every, on_checkpoint=record,
     )
-    final_state = final.system(0) if coupled else final
+    final_state = final.system(0)
     records = [rec for _, rec in checkpoints]
     if config.snapshots == "final":
         save_snapshot(out / "final_state.csv", final_state)

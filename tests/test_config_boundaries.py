@@ -7,12 +7,17 @@ empty values, lists of the wrong length and values of the wrong type.  The
 keys are ``config._KEYS`` plus ``payoff.kind``, so a key added to the table is
 generated here without a change to this file.  Generation is derandomized, so
 every run sees the same cases.
+
+The same edits, on the valid config cut to 4 steps, drive ``run`` and
+``couple``: an invalid input exits 2 and a diverging run 3, never 1.
 """
 
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from minmax_langevin import ConfigError, parse_config, serialize_config
+from minmax_langevin.cli import main
 from minmax_langevin.config import _KEYS
 
 KEYS = ("payoff.kind", *_KEYS)
@@ -63,8 +68,8 @@ EDITS = st.dictionaries(st.sampled_from(KEYS), st.sampled_from(TOKENS),
 NAMES = (*KEYS, "payoff:", "algorithm:")
 
 
-def config_text(edits: dict) -> str:
-    return "".join(f"{key} = {value}\n" for key, value in {**VALID, **edits}.items())
+def config_text(edits: dict, base: dict = VALID) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in {**base, **edits}.items())
 
 
 def test_the_valid_config_sets_every_key():
@@ -87,3 +92,45 @@ def test_a_config_round_trips_or_its_error_names_a_key(edits):
         assert any(name in str(exc) for name in NAMES), str(exc)
         return
     assert parse_config(serialize_config(config)) == config
+
+
+# The valid config on the quadratic family, which takes no ripple section.
+BASES = {
+    "perturbed": VALID,
+    "quadratic": {**{key: value for key, value in VALID.items()
+                     if key not in ("payoff.amplitude", "payoff.frequency")},
+                  "payoff.kind": "QuadraticBilinear"},
+}
+# A reference N(z*, tau H^-1) under the degeneracy clip, and linear terms
+# whose rounding residual beat an absolute equilibrium-solve tolerance.
+TAU_BELOW_CLIP = {"tau": "1e-13"}
+HUGE_U_WARM_START = {"payoff.u": "[1e150]", "init.mean_mode": "warm_start"}
+
+
+def run_main(tmp_path, command, edits, family):
+    path = tmp_path / "boundary.cfg"
+    path.write_text(config_text({"algorithm.steps": "4", **edits}, BASES[family]))
+    return main([command, "--config", str(path), "--output-dir", str(tmp_path / "out")])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["run", "couple"]), edits=EDITS,
+       family=st.sampled_from(sorted(BASES)))
+@example(command="run", edits=TAU_BELOW_CLIP, family="quadratic")
+@example(command="run", edits=TAU_BELOW_CLIP, family="perturbed")
+@example(command="run", edits=HUGE_U_WARM_START, family="quadratic")
+@example(command="run", edits=HUGE_U_WARM_START, family="perturbed")
+def test_run_and_couple_never_exit_1(tmp_path, command, edits, family):
+    assert run_main(tmp_path, command, edits, family) in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("family", sorted(BASES))
+@pytest.mark.parametrize("edits, code, stderr", [
+    (TAU_BELOW_CLIP, 2, "config error: tau, payoff: "),
+    (HUGE_U_WARM_START, 0, ""),
+], ids=["tau-below-clip", "huge-u-warm-start"])
+def test_a_run_level_hole_exits_2_naming_its_keys_or_runs(tmp_path, capsys, family,
+                                                          edits, code, stderr):
+    assert run_main(tmp_path, "run", edits, family) == code
+    assert capsys.readouterr().err.startswith(stderr)

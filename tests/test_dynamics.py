@@ -119,6 +119,22 @@ class TestDrift:
             )
 
     @pytest.mark.parametrize("spec_idx", [0, 1])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n", [1, 7, 512])
+    def test_stacked_systems_drift_bit_for_bit_as_alone(self, spec_idx, d, n):
+        spec = dense_specs(d)[spec_idx]
+        rng = np.random.default_rng(100 * n + 10 * d + spec_idx)
+        xs, ys = rng.normal(size=(2, 3, n, d))
+        stacked = joint_drift(spec, ParticleState(xs=xs, ys=ys))
+        assert stacked.shape == (3, 2 * n * d)
+        for i in range(3):
+            alone = joint_drift(spec, ParticleState(xs=xs[i], ys=ys[i]))
+            assert alone.shape == (2 * n * d,)
+            np.testing.assert_array_equal(stacked[i], alone)
+            single = joint_drift(spec, ParticleState(xs=xs[i:i + 1], ys=ys[i:i + 1]))
+            np.testing.assert_array_equal(single, alone[None])
+
+    @pytest.mark.parametrize("spec_idx", [0, 1])
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("n", [1, 7, 600])
     def test_matches_pairwise_oracle(self, spec_idx, d, n):

@@ -90,6 +90,24 @@ class TestQuadraticEquilibrium:
             assert exact <= joint_bound + 1e-12
 
 
+class TestGaussianDist:
+    # |cov - cov'| against 1e-10 + 1e-5 |cov'|: absolute near zero, then relative.
+    @pytest.mark.parametrize("lower, upper, symmetric", [
+        (0.0, 0.5e-10, True),
+        (0.0, 2e-10, False),
+        (1e-3, 1e-3 + 0.5e-8, True),
+        (1e-3, 1e-3 + 2e-8, False),
+    ])
+    def test_symmetry_tolerance(self, lower, upper, symmetric):
+        cov = np.array([[1.0, upper], [lower, 1.0]])
+        assert np.allclose(cov, cov.T, atol=1e-10) == symmetric
+        if symmetric:
+            assert not GaussianDist(mean=np.zeros(2), cov=cov).degenerate
+        else:
+            with pytest.raises(ValueError, match="^cov must be symmetric$"):
+                GaussianDist(mean=np.zeros(2), cov=cov)
+
+
 class TestPlanParameters:
     def test_reference_values(self):
         # Hand-evaluated: eta = 0.1/7500, N = ceil(2700), gd_eta = 1/4, and
