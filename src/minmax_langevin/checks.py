@@ -36,7 +36,7 @@ from .payoff import (PayoffSpec, PerturbedQuadratic, QuadraticBilinear,
 from .rng import (KeyedNoise, _philox_words, _role_code, _words_to_pairs,
                   create_stream, derive_stream_id, standard_normal_block)
 
-__all__ = ["CheckResult", "run_all_checks", "default_specs"]
+__all__ = ["CheckResult", "run_all_checks", "gradient_checks", "default_specs"]
 
 _REL_SLACK = 1e-9
 
@@ -108,13 +108,21 @@ def _random_gaussians(stream, count: int, dim: int, ridge: float) -> list:
 def check_gradients(spec: PayoffSpec, tol: float, seed: int = 0, points: int = 100):
     require("at least 1", points=points)
     draws = standard_normal_block(_stream(seed, "gradcheck"), 2 * points * spec.dim)
-    worst = float(np.max([check_gradient_fd(spec, x, y, h=1e-5)
-                          for x, y in draws.reshape(points, 2, spec.dim)]))
+    x, y = draws.reshape(points, 2, spec.dim).transpose(1, 0, 2)
+    worst = check_gradient_fd(spec, x, y, h=1e-5)
     return CheckResult(
         name=f"gradient_fd[{type(spec).__name__}]",
         passed=worst <= tol,
         detail=f"max deviation {worst:.3e} (tol {tol:.0e}, {points} points)",
     )
+
+
+def gradient_checks(dim: int = 2, seed: int = 0, points: int = 100):
+    """:func:`check_gradients` on both default payoffs of dimension ``dim``,
+    each at its family's tolerance: 1e-8 quadratic, 1e-6 perturbed."""
+    quad, pert = default_specs(dim)
+    return [check_gradients(quad, tol=1e-8, seed=seed, points=points),
+            check_gradients(pert, tol=1e-6, seed=seed, points=points)]
 
 
 def check_monotonicity(spec: PayoffSpec, seed: int = 0, pairs: int = 1000, n: int = 4):
@@ -315,8 +323,7 @@ def check_rng_consistency(seed: int = 123):
 def run_all_checks(seed: int = 0) -> list[CheckResult]:
     quad, pert = default_specs(dim=2)
     results = [
-        check_gradients(quad, tol=1e-8, seed=seed),
-        check_gradients(pert, tol=1e-6, seed=seed),
+        *gradient_checks(seed=seed),
         check_monotonicity(quad, seed=seed),
         check_monotonicity(pert, seed=seed),
         check_lipschitz(quad, seed=seed),

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import check_gradients, default_specs, run_all_checks
+from .checks import gradient_checks, run_all_checks
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -168,11 +168,11 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    quad, pert = default_specs(dim=args.dim)
-    results = [
-        check_gradients(quad, tol=1e-8, seed=args.seed, points=args.points),
-        check_gradients(pert, tol=1e-6, seed=args.seed, points=args.points),
-    ]
+    try:
+        results = gradient_checks(args.dim, seed=args.seed, points=args.points)
+    except ValueError as exc:  # numpy cannot size the draw or the payoff
+        raise ConfigError(f"--points {args.points}, --dim {args.dim}: numpy cannot "
+                          f"size the gradient check: {exc}") from exc
     return EXIT_PROPERTY if _report(results) else EXIT_OK
 
 

@@ -47,12 +47,11 @@ from .oracle import (
     PSD_CLIP,
     GaussianDist,
     equilibrium_variance,
-    gibbs_product,
     joint_equilibrium,
     kl_bias_bound,
     transient_kl_envelope,
 )
-from .payoff import CONSTANTS_SCHEME, PerturbedQuadratic, QuadraticBilinear
+from .payoff import CONSTANTS_SCHEME, QuadraticBilinear
 from .rng import NOISE_SCHEME, KeyedNoise
 
 __all__ = ["ReportBundle", "run_experiment", "csv_header", "initial_state"]
@@ -131,26 +130,6 @@ def initial_state(config: ExperimentConfig, init: InitSpec, noise: KeyedNoise):
     return ParticleState(xs=xs, ys=ys, step=0), law
 
 
-def _equilibrium_reference(spec, tau: float):
-    """The KL/W2 reference distribution and how it should be labeled.
-
-    Quadratic payoffs have the exact Gaussian equilibrium.  For the perturbed
-    family the reference is the curvature-matched Gaussian at the saddle
-    point (a proxy: the true equilibrium is non-Gaussian), labeled so in the
-    manifest.
-    """
-    if tau <= 0.0:
-        return None, "none"
-    if isinstance(spec, QuadraticBilinear):
-        return joint_equilibrium(spec, tau), "exact"
-    assert isinstance(spec, PerturbedQuadratic)
-    z_star, _ = solve_equilibrium(spec)
-    shift = spec.amplitude * spec.frequency**2
-    h_x = spec.base.A - shift * np.diag(np.cos(spec.frequency * z_star.x))
-    h_y = spec.base.B - shift * np.diag(np.cos(spec.frequency * z_star.y))
-    return gibbs_product(tau, z_star, h_x, h_y), "gaussian_proxy"
-
-
 def _numpy_simd() -> dict:
     """numpy's compiled SIMD baseline and the dispatch targets this CPU runs.
 
@@ -199,12 +178,12 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
     init_law = systems[0][1]
     coupled = config.coupled is not None
 
-    reference, reference_mode = _equilibrium_reference(spec, config.tau)
+    quadratic = isinstance(spec, QuadraticBilinear)
+    reference = joint_equilibrium(spec, config.tau) if config.tau > 0.0 else None
     if reference is not None and reference.degenerate:
         # No KL is finite against it: tau is too small for the curvature.
         raise ConfigError(f"tau, payoff: the equilibrium reference N(z*, tau H^-1) "
                           f"is degenerate (an eigenvalue <= {PSD_CLIP:g})")
-    quadratic = isinstance(spec, QuadraticBilinear)
 
     # Theory envelopes only exist for the quadratic family with a Gaussian
     # initialization law and positive temperature.
@@ -282,7 +261,8 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
             "strict_eta_enforced": config.algorithm.strict_eta,
         },
         "variance_reading": variance_reading,
-        "equilibrium_reference": reference_mode,
+        "equilibrium_reference": ("none" if reference is None else
+                                  "exact" if quadratic else "gaussian_proxy"),
         "contraction_factor_M": contraction_factor(
             constants.alpha, constants.smooth_L, eta
         ),

@@ -1,11 +1,13 @@
-"""Closed-form equilibria for quadratic payoffs and theory-bound calculators.
+"""Gibbs-law equilibria of both payoff families and theory-bound calculators.
 
 For the quadratic-bilinear family the best-response fixed point is Gaussian
 with the saddle point as mean and covariances set by the temperature:
 
     nu_X = N(x*, tau * A^{-1}),    nu_Y = N(y*, tau * B^{-1}).
 
-:func:`gibbs_product` is the one builder of such a Gibbs law.  The symbolic
+:func:`joint_equilibrium` builds it from the payoff's ``curvature`` at z*
+with :func:`gibbs_product`, the one Gibbs-law builder; for the perturbed
+family, whose equilibrium is not Gaussian, the result is a proxy.  The symbolic
 best-response map (:func:`gaussian_best_response`) is kept as an independent
 route to the same object: applying it once to the output of
 :func:`quadratic_equilibrium` must return the pair unchanged.
@@ -161,14 +163,14 @@ def gaussian_best_response(
 
 def quadratic_equilibrium(spec: PayoffSpec, tau: float):
     """The equilibrium pair (nu_X, nu_Y) = (N(x*, tau A^-1), N(y*, tau B^-1))."""
-    return _split(joint_equilibrium(spec, tau))
+    return _split(joint_equilibrium(_require_quadratic(spec), tau))
 
 
 def joint_equilibrium(spec: PayoffSpec, tau: float) -> GaussianDist:
-    """The product nu_Z = nu_X (x) nu_Y as one block-diagonal Gaussian on R^{2d}."""
-    spec = _require_quadratic(spec)
+    """N(z*, tau H^-1) on R^{2d}, H the curvature at the saddle point z*: the
+    product nu_Z = nu_X (x) nu_Y for quadratic payoffs, else the proxy."""
     z_star, _ = solve_equilibrium(spec)
-    return gibbs_product(tau, z_star, spec.A, spec.B)
+    return gibbs_product(tau, z_star, *spec.curvature(z_star))
 
 
 def equilibrium_variance(spec: PayoffSpec, tau: float) -> float:

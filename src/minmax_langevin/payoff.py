@@ -14,12 +14,13 @@ Two families are provided:
   eigenvalue by at most ``amp * freq**2``, so certified (not tight) constants
   follow from the base's: ``alpha - amp * freq**2`` and ``L + amp * freq**2``.
 
-Both families expose elementwise-broadcasting gradients: ``grad_x``/``grad_y``
-accept inputs of shape ``(..., d)`` and return the broadcast shape.  The
-particle drift also relies on ``grad_x`` being affine in ``y`` and ``grad_y``
-affine in ``x`` (true here: the cross term ``x'Cy`` is bilinear and the
-ripple is separable), so an average over opponents equals the gradient at
-the opponents' mean.  A new family must keep both properties.
+Every function of payoff points broadcasts over ``(..., d)`` inputs, and
+``curvature(z)`` gives the Hessian blocks ``(∇²ₓₓV, −∇²ᵧᵧV)`` at one point.
+Matrices and vectors must be finite.  The particle drift also relies on
+``grad_x`` being affine in ``y`` and ``grad_y`` affine in ``x`` (true here:
+the cross term ``x'Cy`` is bilinear and the ripple is separable), so an
+average over opponents equals the gradient at the opponents' mean.  A new
+family must keep both properties.
 
 :class:`Constants` also states the step-size regimes of the guarantees once:
 stability at ``eta < alpha / (2 L**2)``, the min-max GD rate at
@@ -30,6 +31,7 @@ stability at ``eta < alpha / (2 L**2)``, the min-max GD rate at
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,18 +103,14 @@ class Constants:
         return self.alpha / (64.0 * self.smooth_L**2)
 
 
-def _as_matrix(m, dim: int, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.shape != (dim, dim):
-        raise ValueError(f"{name} must have shape ({dim}, {dim}), got {m.shape}")
-    return m
-
-
-def _as_vector(v, dim: int, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (dim,):
-        raise ValueError(f"{name} must have shape ({dim},), got {v.shape}")
-    return v
+def _as_array(value, shape: tuple, name: str) -> np.ndarray:
+    """``value`` as a float array of ``shape`` with finite entries."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {value.shape}")
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite")
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,13 +126,13 @@ class QuadraticBilinear:
 
     def __post_init__(self):
         require("at least 1", dim=self.dim)
-        object.__setattr__(self, "A", _as_matrix(self.A, self.dim, "A"))
-        object.__setattr__(self, "B", _as_matrix(self.B, self.dim, "B"))
-        object.__setattr__(self, "C", _as_matrix(self.C, self.dim, "C"))
-        u = np.zeros(self.dim) if self.u is None else _as_vector(self.u, self.dim, "u")
-        v = np.zeros(self.dim) if self.v is None else _as_vector(self.v, self.dim, "v")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        square, vector = (self.dim, self.dim), (self.dim,)
+        for name, shape in (("A", square), ("B", square), ("C", square),
+                            ("u", vector), ("v", vector)):
+            value = getattr(self, name)
+            if value is None and shape == vector:  # u and v default to zero
+                value = np.zeros(vector)
+            object.__setattr__(self, name, _as_array(value, shape, name))
         lmin = []
         for name, m in (("A", self.A), ("B", self.B)):
             if not np.allclose(m, m.T, atol=1e-12):
@@ -186,6 +184,10 @@ class QuadraticBilinear:
         """The constant 2d x 2d Hessian [[A, C], [C', -B]]."""
         return np.block([[self.A, self.C], [self.C.T, -self.B]])
 
+    def curvature(self, z):
+        """(∇²ₓₓV, −∇²ᵧᵧV) at z: (A, B) everywhere."""
+        return self.A, self.B
+
     def constants(self) -> Constants:
         return self._constants
 
@@ -207,11 +209,11 @@ class PerturbedQuadratic:
     def __post_init__(self):
         require("nonnegative", amplitude=self.amplitude)
         require("positive", frequency=self.frequency)
-        try:
-            shift = self.amplitude * self.frequency**2
-        except OverflowError:
+        # Not math.isfinite: an int frequency can square past every float.
+        if not self.frequency * self.frequency <= sys.float_info.max:
             raise ValueError(f"frequency**2 is outside floating-point range, "
-                             f"got frequency={self.frequency}") from None
+                             f"got frequency={self.frequency}")
+        shift = self.amplitude * self.frequency**2
         base = self.base.constants()
         if shift > 0.5 * base.alpha:
             raise ValueError(
@@ -250,16 +252,22 @@ class PerturbedQuadratic:
         f = self.frequency
         return self.base.grad_y(x, y) + self.amplitude * f * np.sin(f * y)
 
+    def curvature(self, z):
+        """(∇²ₓₓV, −∇²ᵧᵧV) at z: the base's (A, B) shifted by the ripple."""
+        shift = self.amplitude * self.frequency**2
+        return (self.base.A - shift * np.diag(np.cos(self.frequency * z.x)),
+                self.base.B - shift * np.diag(np.cos(self.frequency * z.y)))
+
     def constants(self) -> Constants:
         return self._constants
 
 
-# Either payoff family; both expose value / grad_x / grad_y / constants / dim.
+# Either payoff family: value, grad_x, grad_y, curvature, constants, dim.
 PayoffSpec = QuadraticBilinear | PerturbedQuadratic
 
 
 def check_gradient_fd(spec: PayoffSpec, x, y, h: float = 1e-5) -> float:
-    """Max deviation of the analytic gradient from central finite differences.
+    """Max deviation, over all points, of the analytic gradient from central FD.
 
     Deviations are measured per component relative to max(1, |component|),
     so near-zero gradient components are compared absolutely.  A NaN
@@ -271,7 +279,7 @@ def check_gradient_fd(spec: PayoffSpec, x, y, h: float = 1e-5) -> float:
     grad = np.stack([spec.grad_x(x, y), spec.grad_y(x, y)])
     fd = np.empty_like(grad)
     for k, e in enumerate(h * np.eye(spec.dim)):
-        fd[0, k] = spec.value(x + e, y) - spec.value(x - e, y)
-        fd[1, k] = spec.value(x, y + e) - spec.value(x, y - e)
+        fd[0, ..., k] = spec.value(x + e, y) - spec.value(x - e, y)
+        fd[1, ..., k] = spec.value(x, y + e) - spec.value(x, y - e)
     deviation = np.abs(fd / (2.0 * h) - grad) / np.maximum(1.0, np.abs(grad))
     return float(np.max(deviation))

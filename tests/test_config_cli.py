@@ -564,6 +564,17 @@ class TestCliEdgePaths:
         assert "--points: must be a positive integer" in captured.err
         assert captured.out == ""
 
+    # numpy rejects both sizes before it allocates anything.
+    @pytest.mark.parametrize("flag, value", [("--points", str(2**62)),
+                                             ("--dim", "4000000000")])
+    def test_gradcheck_on_an_unsizable_draw_is_config_error(self, flag, value,
+                                                             capsys):
+        assert main(["gradcheck", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: --points ")
+        assert f"{flag} {value}" in captured.err
+        assert captured.out == ""
+
     def test_plan_with_unrunnable_counts_is_config_error(self, capsys):
         code = main(["plan", "--alpha", "1", "--smooth-l", "1", "--tau", "1",
                      "--dim", "1", "--eps", "1e-300"])

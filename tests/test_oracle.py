@@ -5,6 +5,7 @@ import pytest
 
 from minmax_langevin import (
     GaussianDist,
+    PerturbedQuadratic,
     QuadraticBilinear,
     equilibrium_variance,
     gaussian_best_response,
@@ -12,10 +13,12 @@ from minmax_langevin import (
     kl_bias_bound,
     plan_parameters,
     quadratic_equilibrium,
+    solve_equilibrium,
     transient_kl_envelope,
     variance_and_fisher_bounds,
 )
 from minmax_langevin.checks import default_specs
+from minmax_langevin.oracle import gibbs_product
 
 
 def random_quadratic(rng, dim=None):
@@ -78,6 +81,20 @@ class TestQuadraticEquilibrium:
         q = QuadraticBilinear(dim=1, A=[[2.0]], B=[[4.0]], C=[[0.0]])
         nu_z = joint_equilibrium(q, tau=1.0)
         np.testing.assert_allclose(nu_z.cov, np.diag([0.5, 0.25]))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_perturbed_reference_is_the_curvature_matched_gaussian(self, dim):
+        # The curvature-matched Gaussian written out: the ripple shifts each
+        # Hessian block by -amp freq^2 diag(cos(freq z*)) at the saddle point.
+        base = random_quadratic(np.random.default_rng(dim), dim)
+        spec = PerturbedQuadratic(base=base, amplitude=0.05, frequency=1.7)
+        tau = 0.6
+        z_star, _ = solve_equilibrium(spec)
+        assert np.all(np.abs(z_star.vector) > 1e-3)  # the cosines are not all 1
+        shift = spec.amplitude * spec.frequency**2
+        h_x = base.A - shift * np.diag(np.cos(spec.frequency * z_star.x))
+        h_y = base.B - shift * np.diag(np.cos(spec.frequency * z_star.y))
+        assert joint_equilibrium(spec, tau) == gibbs_product(tau, z_star, h_x, h_y)
 
     def test_variance_consistent_with_bound(self):
         rng = np.random.default_rng(31)

@@ -134,6 +134,19 @@ class TestFiniteDifferences:
         result = check_gradients(default_specs(2)[1], tol=1e-6, seed=1, points=100)
         assert result.passed, result.detail
 
+    @pytest.mark.parametrize("family", [0, 1], ids=["quadratic", "perturbed"])
+    @pytest.mark.parametrize("dim", [1, 2, 5, 8])
+    def test_a_batch_is_the_worst_of_its_points(self, family, dim):
+        # The default payoffs' matrices are multiples of I, so every matmul is
+        # exact and a batch rounds as its points do; a dense matrix's batched
+        # (gemm) and per-point (gemv) products may differ in the last bit.
+        spec = default_specs(dim)[family]
+        # (points, 2, d) draws split into x and y views, as check_gradients does.
+        rng = np.random.default_rng(dim)
+        x, y = 2.0 * rng.normal(size=(40, 2, dim)).transpose(1, 0, 2)
+        per_point = max(check_gradient_fd(spec, xi, yi) for xi, yi in zip(x, y))
+        assert check_gradient_fd(spec, x, y) == per_point
+
     def test_rejects_nonpositive_h(self):
         q = scalar_quadratic()
         with pytest.raises(ValueError, match="positive"):

@@ -63,6 +63,30 @@ def test_the_first_failing_value_is_named():
      "frequency must be positive"),
     (lambda: PerturbedQuadratic(base=QUAD, amplitude=0.1, frequency=1e200),
      r"frequency\*\*2 is outside floating-point range, got frequency=1e\+200"),
+    (lambda: PerturbedQuadratic(base=QUAD, amplitude=0.0, frequency=math.inf),
+     r"frequency\*\*2 is outside floating-point range, got frequency=inf"),
+    (lambda: PerturbedQuadratic(base=QUAD, amplitude=0.1, frequency=10**200),
+     rf"frequency\*\*2 is outside floating-point range, got frequency={10**200}"),
+    (lambda: QuadraticBilinear(dim=1, A=[[NAN]], B=[[1.0]], C=[[0.5]]),
+     "A must be finite"),
+    (lambda: QuadraticBilinear(dim=1, A=[[math.inf]], B=[[1.0]], C=[[0.5]]),
+     "A must be finite"),
+    (lambda: QuadraticBilinear(dim=1, A=[[1.0]], B=[[NAN]], C=[[0.5]]),
+     "B must be finite"),
+    (lambda: QuadraticBilinear(dim=1, A=[[1.0]], B=[[math.inf]], C=[[0.5]]),
+     "B must be finite"),
+    (lambda: QuadraticBilinear(dim=1, A=[[1.0]], B=[[1.0]], C=[[NAN]]),
+     "C must be finite"),
+    (lambda: QuadraticBilinear(dim=1, A=[[1.0]], B=[[1.0]], C=[[-math.inf]]),
+     "C must be finite"),
+    (lambda: QuadraticBilinear(dim=1, A=[[1.0]], B=[[1.0]], C=[[0.5]], u=[NAN]),
+     "u must be finite"),
+    (lambda: QuadraticBilinear(dim=1, A=[[1.0]], B=[[1.0]], C=[[0.5]], u=[math.inf]),
+     "u must be finite"),
+    (lambda: QuadraticBilinear(dim=1, A=[[1.0]], B=[[1.0]], C=[[0.5]], v=[NAN]),
+     "v must be finite"),
+    (lambda: QuadraticBilinear(dim=1, A=[[1.0]], B=[[1.0]], C=[[0.5]], v=[-math.inf]),
+     "v must be finite"),
     (lambda: QuadraticBilinear(dim=1, A=[[1e200]], B=[[1.0]], C=[[0.5]]),
      r"smooth_L\*\*4 is outside floating-point range, got smooth_L=1e\+200"),
     (lambda: QuadraticBilinear(dim=1, A=[[1e100]], B=[[1.0]], C=[[0.5]]),
@@ -93,7 +117,10 @@ def test_the_first_failing_value_is_named():
      "mean and cov must be finite"),
     (lambda: GaussianDist(mean=np.zeros(2), cov=np.diag([NAN, 1.0])),
      "mean and cov must be finite"),
-], ids=["amplitude", "frequency", "frequency-squared", "smooth_L-1e200", "smooth_L-1e100",
+], ids=["amplitude", "frequency", "frequency-squared", "frequency-inf",
+        "frequency-int",
+        "A-nan", "A-inf", "B-nan", "B-inf", "C-nan", "C-inf", "u-nan", "u-inf",
+        "v-nan", "v-inf", "smooth_L-1e200", "smooth_L-1e100",
         "gd_step", "record-kl", "record-w2", "contraction", "envelope-k", "bias-d",
         "bias-n", "fisher-d", "plan-d", "state-step", "isotropic", "max_iters",
         "stream-id-step", "keyed-step", "block-n", "gaussian-nan-mean",
