@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .payoff import PayoffSpec, QuadraticBilinear, require
+from .payoff import PayoffSpec, QuadraticBilinear, require, unstacked
 
 __all__ = [
     "JointPoint",
@@ -36,7 +36,8 @@ class EnvelopeViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class JointPoint:
-    """A joint point z = (x, y) of the two players."""
+    """A joint point z = (x, y) of the two players, or a stack of them:
+    ``(..., d)`` arrays whose leading axes index the points."""
 
     x: np.ndarray
     y: np.ndarray
@@ -44,8 +45,8 @@ class JointPoint:
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
         y = np.asarray(self.y, dtype=float)
-        if x.shape != y.shape or x.ndim != 1:
-            raise ValueError("x and y must be 1-d arrays of equal length")
+        if x.shape != y.shape or x.ndim < 1:
+            raise ValueError("x and y must be (..., d) arrays of equal shape")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise ValueError("joint point must have finite entries")
         object.__setattr__(self, "x", x)
@@ -54,14 +55,22 @@ class JointPoint:
     @property
     def vector(self) -> np.ndarray:
         """Concatenated (x, y) in R^{2d}."""
-        return np.concatenate([self.x, self.y])
+        return np.concatenate([self.x, self.y], axis=-1)
 
 
-def grad_norm(spec: PayoffSpec, z: JointPoint, scale: float = 1.0) -> float:
-    """|grad V(z)| / scale over both players, scaled before it is squared."""
-    gx = spec.grad_x(z.x, z.y) / scale
-    gy = spec.grad_y(z.x, z.y) / scale
-    return float(np.sqrt(gx @ gx + gy @ gy))
+def grad_norm(spec: PayoffSpec, z: JointPoint, scale: float = 1.0):
+    """|grad V(z)| / scale over both players, scaled before it is squared.
+
+    A float, or an array over the leading axes of a stacked ``z``.  The
+    gradients and squares are taken on (..., 1, d) rows, so each entry has
+    the bits of its own unstacked call (a (K, d) gradient would be one gemm,
+    whose rounding differs from the per-point gemv).
+    """
+    x, y = z.x[..., None, :], z.y[..., None, :]
+    gx = spec.grad_x(x, y) / scale
+    gy = spec.grad_y(x, y) / scale
+    squared = gx @ gx.swapaxes(-1, -2) + gy @ gy.swapaxes(-1, -2)
+    return unstacked(np.sqrt(squared[..., 0, 0]))
 
 
 def gd_step(spec: PayoffSpec, z: JointPoint, eta_gd: float) -> JointPoint:
@@ -130,10 +139,17 @@ def solve_equilibrium(
                        f"within {max_iters} iterations")
 
 
-def duality_gap_bound(spec: PayoffSpec, z: JointPoint) -> float:
-    """Upper bound |grad V(z)|^2 / (2 alpha) on the duality gap at z."""
+def duality_gap_bound(spec: PayoffSpec, z: JointPoint):
+    """Upper bound |grad V(z)|^2 / (2 alpha) on the duality gap at z.
+
+    Over a stacked ``z``, an array of each point's own bound, bit for bit.
+    The norm is squared per point as a Python float (libm ``pow``), whose
+    last bit numpy's array square does not always reproduce.
+    """
     c = spec.constants()
-    return grad_norm(spec, z) ** 2 / (2.0 * c.alpha)
+    norms = grad_norm(spec, z)
+    gaps = [float(norm) ** 2 / (2.0 * c.alpha) for norm in np.ravel(norms)]
+    return gaps[0] if np.ndim(norms) == 0 else np.reshape(gaps, np.shape(norms))
 
 
 def gd_rate_audit(

@@ -5,10 +5,18 @@ i.i.d. Gaussian particle initialization from keyed noise streams, (3) the
 particle algorithm with metric checkpoints, and (4), for quadratic payoffs,
 attachment of the one-sided theory envelopes to every checkpoint row.
 
+In step (3) a checkpoint keeps only what needs the live state: the snapshot,
+one Gaussian fit, the coupling distance and the wall time.  The captures are
+scored ``_SCORE_CHUNK`` at a time: one stacked ``GaussianDist`` and one KL,
+W2 and gap call per chunk, each row with the bits its own call would give.
+An overflow in a chunk is re-scored row by row, so the error names the first
+checkpoint that overflowed.
+
 Outputs are a metrics CSV whose body is a pure function of the config (so
 reruns are byte-identical) and a JSON manifest holding everything else:
 config echo, certified constants, regime checks, which variance reading fed
-the envelopes, library versions and timing.
+the envelopes, library versions and timing (``runtime_seconds`` and the
+per-phase ``timings``).
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,6 +75,20 @@ class ReportBundle:
     manifest_path: Path
     final_state: ParticleState
     records: list
+
+
+# Checkpoints scored together in one stacked pass: O(chunk d^2) memory.
+_SCORE_CHUNK = 256
+
+
+class _Capture(NamedTuple):
+    """What a checkpoint keeps of the live state until it is scored."""
+
+    step: int
+    wall_time: float
+    fit: GaussianDist | None
+    avg_mean: np.ndarray
+    distance: float | None
 
 
 # The MetricsRecord fields written after the per-coordinate means, in
@@ -209,7 +232,12 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
                 config.tau, eta, step, _bias, n,
             )
 
-    def record(step: int, stack: ParticleState) -> MetricsRecord:
+    # A checkpoint captures in the loop what needs the live state; buffered
+    # captures are scored _SCORE_CHUNK at a time in one stacked pass.
+    captured, records = [], []
+    score_seconds = 0.0
+
+    def capture(step: int, stack: ParticleState) -> None:
         state = stack.system(0)
         if config.snapshots == "all":
             save_snapshot(out / f"snapshot_{step:08d}.csv", state)
@@ -217,32 +245,73 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
         with _overflow_raises(DivergenceError(step, "checkpoint statistics overflowed")):
             fit = fit_gaussian(pairs)[0] if state.n_particles >= 2 else None
             avg_mean = fit.mean if fit is not None else pairs.mean(axis=0)
-            cov_trace = float(np.trace(fit.cov)) if fit is not None else 0.0
-            kl = w2 = None
-            if reference is not None and fit is not None and not fit.degenerate:
-                kl = gaussian_kl(fit, reference)
-                w2 = gaussian_w2(fit, reference)
-            gap = duality_gap_bound(spec, JointPoint(x=avg_mean[:d], y=avg_mean[d:]))
             distance = coupling_distance_sq(stack) if coupled else None
-        return MetricsRecord(
-            step=step,
-            wall_time=time.perf_counter() - t_start,
-            avg_mean=avg_mean,
-            avg_cov_trace=cov_trace,
+        wall_time = time.perf_counter() - t_start
+        captured.append(_Capture(step, wall_time, fit, avg_mean, distance))
+        if len(captured) == _SCORE_CHUNK:
+            flush()
+
+    def score(chunk: list) -> list:
+        """The chunk's MetricsRecords: trace, KL, W2 and gap in one stacked
+        pass, the rows with no fit, a degenerate fit or no reference left out."""
+        k = len(chunk)
+        means = np.array([c.avg_mean for c in chunk])
+        gaps = duality_gap_bound(spec, JointPoint(x=means[:, :d], y=means[:, d:]))
+        traces, kls, w2s = [0.0] * k, [None] * k, [None] * k
+        if chunk[0].fit is not None:
+            covs = np.array([c.fit.cov for c in chunk])
+            traces = np.trace(covs, axis1=1, axis2=2).tolist()
+            rows = [i for i, c in enumerate(chunk) if not c.fit.degenerate]
+            if reference is not None and rows:
+                fits = GaussianDist(mean=means[rows], cov=covs[rows])
+                for i, kl, w2 in zip(rows, gaussian_kl(fits, reference).tolist(),
+                                     gaussian_w2(fits, reference).tolist()):
+                    kls[i], w2s[i] = kl, w2
+        return [MetricsRecord(
+            step=c.step,
+            wall_time=c.wall_time,
+            avg_mean=c.avg_mean,
+            avg_cov_trace=trace,
             kl_fit_to_eq=kl,
             w2_fit_to_eq_sq=w2,
             grad_gap_bound=gap,
-            coupling_dist_sq=distance,
-            envelope_kl=envelope(step) if envelope is not None else None,
+            coupling_dist_sq=c.distance,
+            envelope_kl=envelope(c.step) if envelope is not None else None,
             bias_bound=bias_value,
-        )
+        ) for c, trace, kl, w2, gap in zip(chunk, traces, kls, w2s, gaps.tolist())]
 
-    checkpoints, final = run_algorithm(
-        spec, ParticleState.stacked(*(state for state, _ in systems)),
-        config.algorithm, config.seed, config.checkpoint_every, on_checkpoint=record,
-    )
+    def flush() -> None:
+        nonlocal score_seconds
+        if not captured:
+            return
+        start = time.perf_counter()
+        chunk = captured[:]
+        captured.clear()
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                records.extend(score(chunk))
+        except FloatingPointError:
+            # Each row's statistics are its own: re-scored one at a time, the
+            # first that overflows names its step.
+            for c in chunk:
+                overflow = DivergenceError(c.step, "checkpoint statistics overflowed")
+                with _overflow_raises(overflow):
+                    records.extend(score([c]))
+        score_seconds += time.perf_counter() - start
+
+    t_loop = time.perf_counter()
+    try:
+        _, final = run_algorithm(
+            spec, ParticleState.stacked(*(state for state, _ in systems)),
+            config.algorithm, config.seed, config.checkpoint_every, on_checkpoint=capture,
+        )
+    except DivergenceError:
+        flush()  # a buffered checkpoint that overflows came first
+        raise
+    loop_seconds = time.perf_counter() - t_loop - score_seconds
+    flush()
+    t_write = time.perf_counter()
     final_state = final.system(0)
-    records = [rec for _, rec in checkpoints]
     if config.snapshots == "final":
         save_snapshot(out / "final_state.csv", final_state)
 
@@ -279,6 +348,13 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
         },
         "created_unix": time.time(),
         "runtime_seconds": time.perf_counter() - t_start,
+        "timings": {
+            "setup_s": t_loop - t_start,
+            "loop_s": loop_seconds,
+            "score_s": score_seconds,
+            "write_s": time.perf_counter() - t_write,
+            "steps_per_s": config.algorithm.steps / loop_seconds,
+        },
     }
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="ascii")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import GaussianDist, sqrtm_psd
-from .payoff import require
+from .payoff import require, unstacked
 # standard_normal_block stays bound: perfbench/tracer.py patches it by name.
 from .rng import standard_normal_block
 
@@ -59,7 +59,7 @@ def fit_gaussian(samples: np.ndarray):
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 2:
         raise ValueError("need an (n, m) sample matrix with n >= 2")
-    mean = samples.mean(axis=0)
+    mean = np.add.reduce(samples, axis=0) / samples.shape[0]  # np.mean's bits
     centered = samples - mean
     cov = centered.T @ centered / (samples.shape[0] - 1)
     cov = 0.5 * (cov + cov.T)
@@ -72,31 +72,46 @@ def _check_dims(p: GaussianDist, q: GaussianDist):
         raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
 
 
-def gaussian_kl(p: GaussianDist, q: GaussianDist) -> float:
-    """KL(p || q) = (tr(Sq^-1 Sp) + dm' Sq^-1 dm - m + ln det Sq - ln det Sp) / 2."""
+def _dot(a: np.ndarray, b: np.ndarray, mat=None) -> np.ndarray:
+    """a' b, or a' mat b, over leading axes: matmuls of (..., 1, m) rows,
+    which give each row the bits of its own unstacked product."""
+    left = a[..., None, :] if mat is None else a[..., None, :] @ mat
+    return (left @ b[..., :, None])[..., 0, 0]
+
+
+def _clamped(value):
+    # max(value, 0.0) per row: a NaN or -0.0 passes through, as with max.
+    return unstacked(np.where(value < 0.0, 0.0, value))
+
+
+def gaussian_kl(p: GaussianDist, q: GaussianDist):
+    """KL(p || q) = (tr(Sq^-1 Sp) + dm' Sq^-1 dm - m + ln det Sq - ln det Sp) / 2.
+
+    ``p`` may be a stack (see :class:`GaussianDist`) and ``q`` one law: the
+    result is then an array over p's leading axes, each entry the bits of
+    that row's own call.  A degenerate row of ``p`` is +inf.
+    """
     _check_dims(p, q)
     if q.degenerate:
         raise ValueError("q.cov must be nonsingular")
-    if p.degenerate:
-        # p degenerate: KL is +inf relative to any full-rank q.
-        return float("inf")
     dm = q.mean - p.mean
-    kl = 0.5 * (
-        float(np.trace(q.precision @ p.cov)) + float(dm @ q.precision @ dm)
-        - p.dim + q.logdet - p.logdet
-    )
-    return max(kl, 0.0)
+    trace = (q.precision @ p.cov).trace(0, -2, -1)
+    kl = 0.5 * (trace + _dot(dm, dm, q.precision) - p.dim + q.logdet - p.logdet)
+    return _clamped(np.where(p.degenerate, np.inf, kl))
 
 
-def gaussian_w2(p: GaussianDist, q: GaussianDist) -> float:
-    """Squared W2: |dm|^2 + tr(Sp + Sq - 2 (Sq^1/2 Sp Sq^1/2)^1/2)."""
+def gaussian_w2(p: GaussianDist, q: GaussianDist):
+    """Squared W2: |dm|^2 + tr(Sp + Sq - 2 (Sq^1/2 Sp Sq^1/2)^1/2).
+
+    Over a stack ``p``, an array of the rows' own values, bit for bit.
+    """
     _check_dims(p, q)
     dm = p.mean - q.mean
     cross = sqrtm_psd(q.root @ p.cov @ q.root)
-    value = float(dm @ dm) + float(
-        np.trace(p.cov) + np.trace(q.cov) - 2.0 * np.trace(cross)
+    value = _dot(dm, dm) + (
+        p.cov.trace(0, -2, -1) + q.cov.trace() - 2.0 * cross.trace(0, -2, -1)
     )
-    return max(value, 0.0)
+    return _clamped(value)
 
 
 def gaussian_relative_fi(p: GaussianDist, q: GaussianDist) -> float:

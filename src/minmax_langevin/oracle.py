@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .deterministic import JointPoint, solve_equilibrium
-from .payoff import Constants, PayoffSpec, QuadraticBilinear, require
+from .payoff import Constants, PayoffSpec, QuadraticBilinear, require, unstacked
 
 __all__ = [
     "GaussianDist",
@@ -49,10 +49,11 @@ PSD_CLIP = 1e-12
 
 
 def sqrtm_psd(mat: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition, clipping at zero."""
+    """Symmetric PSD square root via eigendecomposition, clipping at zero;
+    over the leading axes of a stack of matrices too."""
     vals, vecs = np.linalg.eigh(mat)
     vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +63,12 @@ class GaussianDist:
     The one home of covariance algebra: the eigensolve that checks ``cov``
     also sets ``degenerate`` (smallest eigenvalue <= PSD_CLIP), and
     ``precision``, ``logdet`` and ``root`` are computed once, on first use.
+
+    A stack of K Gaussians is one ``GaussianDist`` with ``(K, m)`` means and
+    ``(K, m, m)`` covariances: every check and factor runs per row, and
+    ``degenerate`` and ``logdet`` are arrays over the leading axes (a bool
+    and a float without them).  Each row's numbers are those of its own
+    unstacked ``GaussianDist``, bit for bit.
     """
 
     mean: np.ndarray
@@ -71,30 +78,33 @@ class GaussianDist:
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
-        m = mean.shape[0]
-        if mean.ndim != 1 or cov.shape != (m, m):
-            raise ValueError("mean must be (m,) and cov (m, m)")
+        if mean.ndim < 1 or cov.shape != mean.shape + mean.shape[-1:]:
+            raise ValueError("mean must be (..., m) and cov (..., m, m)")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise ValueError("mean and cov must be finite")
         # np.allclose's rule, written out: the inputs are already finite.
-        if not (np.abs(cov - cov.T) <= 1e-10 + 1e-5 * np.abs(cov.T)).all():
+        cov_t = cov.swapaxes(-1, -2)
+        if not (np.abs(cov - cov_t) <= 1e-10 + 1e-5 * np.abs(cov_t)).all():
             raise ValueError("cov must be symmetric")
-        smallest = np.linalg.eigvalsh(cov).min()
-        if smallest < -1e-10:
+        vals = np.linalg.eigvalsh(cov)  # ascending
+        smallest = vals[..., 0]
+        # Relative to the largest eigenvalue: rounding a PSD matrix at scale
+        # s can leave an eigenvalue near -1e-16 s, which is not a sign error.
+        if (smallest < -1e-10 * np.maximum(1.0, vals[..., -1])).any():
             raise ValueError("cov must be positive semidefinite")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "degenerate", bool(smallest <= PSD_CLIP))
+        object.__setattr__(self, "degenerate", unstacked(smallest <= PSD_CLIP))
 
     @functools.cached_property
     def precision(self) -> np.ndarray:
         return np.linalg.inv(self.cov)
 
     @functools.cached_property
-    def logdet(self) -> float:
+    def logdet(self):
         """ln det cov; -inf unless the determinant's sign is +1."""
         sign, logdet = np.linalg.slogdet(self.cov)
-        return float(logdet) if sign == 1 else -math.inf
+        return unstacked(np.where(sign == 1, logdet, -math.inf))
 
     @functools.cached_property
     def root(self) -> np.ndarray:
@@ -109,7 +119,7 @@ class GaussianDist:
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
 
     def __eq__(self, other):
         if not isinstance(other, GaussianDist):

@@ -60,6 +60,11 @@ def require(rule: str, **values) -> None:
             raise ValueError(f"{name} must be {rule}")
 
 
+def unstacked(value):
+    """A 0-d numpy result as a Python float or bool; a stacked one unchanged."""
+    return value.item() if value.ndim == 0 else value
+
+
 # How the constants are computed, as run manifests record it; a change to the
 # computed alpha or L changes it.
 CONSTANTS_SCHEME = ("exact: alpha = min(eigvalsh(A), eigvalsh(B)), "
