@@ -10,6 +10,9 @@ The three pair inequalities of the drift b_Z (strong monotonicity, 2L
 Lipschitz, contraction of z + eta b_Z(z)) share one probe sweep,
 :func:`_worst_over_pairs`, and supply only their per-pair statistic.
 
+The Talagrand/log-Sobolev and W2-triangle suites draw one stacked
+``GaussianDist`` and call each law function once (the triangle's W2 once a side).
+
 Every suite reduces its per-sample statistics with ``np.max``/``np.min``,
 which propagate NaN, so a NaN sample fails its bound instead of being
 skipped; a suite asked for fewer than one sample raises ``ValueError``.
@@ -95,14 +98,13 @@ def _stretch(dv, z1, z2):
     )
 
 
-def _random_gaussians(stream, count: int, dim: int, ridge: float) -> list:
-    """``count`` Gaussians N(m, R R'/dim + ridge I), m and R drawn standard
-    normal: one stream block holds each Gaussian's m, then R row by row."""
-    draws = standard_normal_block(stream, count * (dim + 1) * dim)
-    return [
-        GaussianDist(mean=g[0], cov=g[1:] @ g[1:].T / dim + ridge * np.eye(dim))
-        for g in draws.reshape(count, dim + 1, dim)
-    ]
+def _random_gaussians(stream, count: int, dim: int, ridge: float) -> GaussianDist:
+    """A stack of ``count`` Gaussians N(m, R R'/dim + ridge I), m and R drawn
+    standard normal: one stream block holds each Gaussian's m, then R row by
+    row."""
+    g = standard_normal_block(stream, count * (dim + 1) * dim).reshape(count, -1, dim)
+    mean, r = g[:, 0], g[:, 1:]
+    return GaussianDist(mean=mean, cov=r @ r.swapaxes(1, 2) / dim + ridge * np.eye(dim))
 
 
 def check_gradients(spec: PayoffSpec, tol: float, seed: int = 0, points: int = 100):
@@ -229,13 +231,12 @@ def check_functional_inequalities(seed: int = 0, pairs: int = 200):
     tau = 0.7
     nu = joint_equilibrium(quad, tau)
     alpha = quad.constants().alpha
-    slack_t, slack_ls = [], []
-    for p in _random_gaussians(_stream(seed, "functional"), pairs, nu.dim, 0.05):
-        kl = gaussian_kl(p, nu)
-        w2 = gaussian_w2(p, nu)
-        fi = gaussian_relative_fi(p, nu)
-        slack_t.append(kl - (alpha / (2.0 * tau)) * w2 + _REL_SLACK * (1 + kl))
-        slack_ls.append(fi - 2.0 * (alpha / tau) * kl + _REL_SLACK * (1 + fi))
+    p = _random_gaussians(_stream(seed, "functional"), pairs, nu.dim, 0.05)
+    kl = gaussian_kl(p, nu)
+    w2 = gaussian_w2(p, nu)
+    fi = gaussian_relative_fi(p, nu)
+    slack_t = kl - (alpha / (2.0 * tau)) * w2 + _REL_SLACK * (1 + kl)
+    slack_ls = fi - 2.0 * (alpha / tau) * kl + _REL_SLACK * (1 + fi)
     worst_t, worst_ls = float(np.min(slack_t)), float(np.min(slack_ls))
     ok = worst_t >= 0.0 and worst_ls >= 0.0
     return CheckResult(
@@ -248,9 +249,9 @@ def check_functional_inequalities(seed: int = 0, pairs: int = 200):
 def check_w2_triangle(seed: int = 0, triples: int = 100, dim: int = 3):
     require("at least 1", triples=triples)
     gs = _random_gaussians(_stream(seed, "triangle"), 3 * triples, dim, 0.1)
-    w = np.sqrt([[gaussian_w2(p, r), gaussian_w2(p, q), gaussian_w2(q, r)]
-                 for p, q, r in zip(gs[::3], gs[1::3], gs[2::3])])
-    worst = float(np.max(w[:, 0] - (w[:, 1] + w[:, 2])))  # W2(p,r) - W2(p,q) - W2(q,r)
+    p, q, r = (GaussianDist(mean=gs.mean[i::3], cov=gs.cov[i::3]) for i in range(3))
+    w_pr, w_pq, w_qr = (np.sqrt(gaussian_w2(a, b)) for a, b in ((p, r), (p, q), (q, r)))
+    worst = float(np.max(w_pr - (w_pq + w_qr)))  # W2(p,r) - W2(p,q) - W2(q,r)
     return CheckResult(
         name="gaussian_w2_triangle",
         passed=worst <= _REL_SLACK,
@@ -268,15 +269,12 @@ def check_second_moment_stability(seed: int = 0):
     eta = c.alpha / (8.0 * c.smooth_L**2)
     params = AlgorithmParams(eta=eta, tau=tau, n_particles=n, steps=steps)
     z_star, _ = solve_equilibrium(quad)
-    z_rep = replicate_point(z_star, n)
-    z_star_rep = np.stack([z_rep.xs, z_rep.ys])  # (2, n, d): x block, y block
+    z_pair = np.stack([z_star.x, z_star.y])[:, None]  # (2, 1, d): x row, y row
     noise = standard_normal_block(_stream(seed, "moment-init"), 2 * n * d)
-    xs, ys = z_star_rep + noise.reshape(2, n, d)
+    xs, ys = z_pair + noise.reshape(2, n, d)
     checkpoints, _ = run_algorithm(
         quad, ParticleState(xs=xs, ys=ys), params, seed=seed, checkpoint_every=1,
-        on_checkpoint=lambda k, s: float(
-            np.sum((np.stack([s.xs, s.ys]) - z_star_rep) ** 2)
-        ),
+        on_checkpoint=lambda k, s: float(np.sum((np.stack([s.xs, s.ys]) - z_pair) ** 2)),
     )
     sq = [v for _, v in checkpoints]
     m = contraction_factor(c.alpha, c.smooth_L, eta)

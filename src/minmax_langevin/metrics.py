@@ -5,7 +5,8 @@ relative Fisher information) evaluate the theory envelopes exactly; the
 empirical side is a Gaussian plug-in fit (sample mean and covariance) plus
 exact 1-d optimal transport.  The divergences read :class:`GaussianDist`'s
 cached factors and its one degeneracy rule, so a degenerate fit has
-infinite KL and no Fisher information.
+infinite KL and no Fisher information.  Either argument of KL, W2 and
+Fisher may be a stack of laws: one formula serves one law and a stack.
 """
 
 from __future__ import annotations
@@ -87,12 +88,12 @@ def _clamped(value):
 def gaussian_kl(p: GaussianDist, q: GaussianDist):
     """KL(p || q) = (tr(Sq^-1 Sp) + dm' Sq^-1 dm - m + ln det Sq - ln det Sp) / 2.
 
-    ``p`` may be a stack (see :class:`GaussianDist`) and ``q`` one law: the
-    result is then an array over p's leading axes, each entry the bits of
-    that row's own call.  A degenerate row of ``p`` is +inf.
+    ``p`` and ``q`` may each be a stack (see :class:`GaussianDist`): the
+    result is then an array over their broadcast leading axes, each entry
+    the bits of that row's own call.  A degenerate row of ``p`` is +inf.
     """
     _check_dims(p, q)
-    if q.degenerate:
+    if np.any(q.degenerate):
         raise ValueError("q.cov must be nonsingular")
     dm = q.mean - p.mean
     trace = (q.precision @ p.cov).trace(0, -2, -1)
@@ -103,30 +104,30 @@ def gaussian_kl(p: GaussianDist, q: GaussianDist):
 def gaussian_w2(p: GaussianDist, q: GaussianDist):
     """Squared W2: |dm|^2 + tr(Sp + Sq - 2 (Sq^1/2 Sp Sq^1/2)^1/2).
 
-    Over a stack ``p``, an array of the rows' own values, bit for bit.
+    Over stacks ``p`` and/or ``q``, an array of the rows' own values, bitwise.
     """
     _check_dims(p, q)
     dm = p.mean - q.mean
     cross = sqrtm_psd(q.root @ p.cov @ q.root)
-    value = _dot(dm, dm) + (
-        p.cov.trace(0, -2, -1) + q.cov.trace() - 2.0 * cross.trace(0, -2, -1)
-    )
-    return _clamped(value)
+    return _clamped(_dot(dm, dm) + (
+        p.cov.trace(0, -2, -1) + q.cov.trace(0, -2, -1) - 2.0 * cross.trace(0, -2, -1)
+    ))
 
 
-def gaussian_relative_fi(p: GaussianDist, q: GaussianDist) -> float:
+def gaussian_relative_fi(p: GaussianDist, q: GaussianDist):
     """Relative Fisher information E_p |grad log(p/q)|^2 in closed form:
 
         |Sq^-1 dm|^2 + tr((Sq^-1 - Sp^-1) Sp (Sq^-1 - Sp^-1))
+
+    Stacks as in :func:`gaussian_w2`; a degenerate row of either side raises.
     """
     _check_dims(p, q)
     for name, dist in (("p", p), ("q", q)):
-        if dist.degenerate:
+        if np.any(dist.degenerate):
             raise ValueError(f"{name}.cov must be nonsingular")
-    dm = q.precision @ (p.mean - q.mean)
+    dm = (q.precision @ (p.mean - q.mean)[..., None])[..., 0]
     diff = q.precision - p.precision
-    value = float(dm @ dm) + float(np.trace(diff @ p.cov @ diff))
-    return max(value, 0.0)
+    return _clamped(_dot(dm, dm) + (diff @ p.cov @ diff).trace(0, -2, -1))
 
 
 def empirical_w2_1d(a: np.ndarray, b: np.ndarray) -> float:

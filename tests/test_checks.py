@@ -4,6 +4,7 @@ A suite that folded its samples with Python ``max``/``min`` would skip a NaN
 and report PASS; these tests pin the numpy reduction that makes it FAIL.
 """
 
+import collections
 import math
 
 import numpy as np
@@ -55,6 +56,20 @@ def test_nan_w2_fails_the_triangle_inequality(monkeypatch):
     result = checks.check_w2_triangle()
     assert result.name == "gaussian_w2_triangle"
     assert not result.passed
+
+
+def test_each_suite_makes_one_call_per_law_function(monkeypatch):
+    calls = collections.Counter()
+    for name in ("gaussian_kl", "gaussian_w2", "gaussian_relative_fi"):
+        def counted(p, q, name=name, law=getattr(checks, name)):
+            calls[name] += 1
+            return law(p, q)
+        monkeypatch.setattr(checks, name, counted)
+    assert checks.check_functional_inequalities(seed=3).passed
+    assert calls == {"gaussian_kl": 1, "gaussian_w2": 1, "gaussian_relative_fi": 1}
+    calls.clear()
+    assert checks.check_w2_triangle(seed=3).passed
+    assert calls == {"gaussian_w2": 3}
 
 
 @pytest.mark.parametrize("count", [0, -5])

@@ -2,9 +2,9 @@
 
 A run captures one Gaussian fit per checkpoint and scores the captures in
 chunks: one stacked ``GaussianDist`` and one KL, W2 and gap call per chunk.
-Every stacked value must be the bits of its row's own unstacked call, the
-chunk size must not show in any output byte, and an overflow must name the
-checkpoint it happened at.
+Every stacked value, with ``p``, ``q`` or both stacked, must be the bits of
+its row's own unstacked call, the chunk size must not show in any output
+byte, and an overflow must name the checkpoint it happened at.
 """
 
 import json
@@ -19,6 +19,7 @@ from minmax_langevin import (
     QuadraticBilinear,
     duality_gap_bound,
     gaussian_kl,
+    gaussian_relative_fi,
     gaussian_w2,
     joint_equilibrium,
     parse_config,
@@ -100,6 +101,63 @@ class TestStackedForms:
         for cov in (np.diag([1.0, -1e-5]), -np.eye(2), -1e6 * np.eye(2)):
             with pytest.raises(ValueError, match="^cov must be positive semidefinite$"):
                 GaussianDist(mean=np.zeros(2), cov=cov)
+
+
+def dense_laws(rng, m, k):
+    """k nonsingular dense Gaussians on R^m."""
+    raw = rng.normal(size=(k, m, m))
+    covs = raw @ np.swapaxes(raw, 1, 2) / m + 0.05 * np.eye(m)
+    return GaussianDist(mean=3.0 * rng.normal(size=(k, m)), cov=covs)
+
+
+def rows_of(stack):
+    return [GaussianDist(mean=mean, cov=cov) for mean, cov in zip(stack.mean, stack.cov)]
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+LAWS = [gaussian_kl, gaussian_w2, gaussian_relative_fi]
+
+
+class TestBothSidesStacked:
+    # A stack as long as the dimension is the shape on which a trace over
+    # the first two axes of q's covariance stack does not raise.
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    @pytest.mark.parametrize("k", ["dim", 40])
+    @pytest.mark.parametrize("law", LAWS, ids=lambda f: f.__name__)
+    def test_rows_are_their_own_calls(self, law, k, d):
+        rng = np.random.default_rng(90 + d)
+        k = d if k == "dim" else k
+        p, q = dense_laws(rng, d, k), dense_laws(rng, d, k)
+        stacked = law(p, q)
+        assert stacked.shape == (k,)
+        pairs = list(zip(rows_of(p), rows_of(q)))
+        assert bits(stacked) == bits([law(a, b) for a, b in pairs])
+        one_p = rows_of(p)[0]
+        assert bits(law(one_p, q)) == bits([law(one_p, b) for _, b in pairs])
+
+    @pytest.mark.parametrize("d", [2, 8])
+    def test_degenerate_rows_of_p(self, d):
+        rng = np.random.default_rng(95 + d)
+        p, q = stacked_laws(rng, d), dense_laws(rng, d, 40)
+        pairs = list(zip(rows_of(p), rows_of(q)))
+        for law in (gaussian_kl, gaussian_w2):
+            assert bits(law(p, q)) == bits([law(a, b) for a, b in pairs])
+        assert np.isinf(gaussian_kl(p, q)[29])
+
+    @pytest.mark.parametrize("law, side", [
+        (gaussian_kl, "q"), (gaussian_relative_fi, "p"), (gaussian_relative_fi, "q"),
+    ], ids=["kl-q", "fisher-p", "fisher-q"])
+    def test_a_degenerate_row_raises(self, law, side):
+        rng = np.random.default_rng(99)
+        laws = {"p": dense_laws(rng, 3, 5), "q": dense_laws(rng, 3, 5)}
+        covs = laws[side].cov.copy()
+        covs[2] = 0.0
+        laws[side] = GaussianDist(mean=laws[side].mean, cov=covs)
+        with pytest.raises(ValueError, match=f"^{side}.cov must be nonsingular$"):
+            law(laws["p"], laws["q"])
 
 
 COUPLED_DENSE = """\
