@@ -1,17 +1,16 @@
 """Property suites: the certified inequalities probed at random points.
 
-Each suite draws its randomness from keyed noise streams, so a given seed
-always probes the same points.  The suites back the ``check`` command and
-are reused by the test suite; every bound carries a small float slack since
-several inequalities are tight (e.g. monotonicity of a decoupled isotropic
-quadratic binds with equality).
-
-The three pair inequalities of the drift b_Z (strong monotonicity, 2L
-Lipschitz, contraction of z + eta b_Z(z)) share one probe sweep,
-:func:`_worst_over_pairs`, and supply only their per-pair statistic.
-
-The Talagrand/log-Sobolev and W2-triangle suites draw one stacked
-``GaussianDist`` and call each law function once (the triangle's W2 once a side).
+Each suite is a draw, a statistic and a bound.  Draws come from keyed noise
+streams named by the suite's tag, so a given seed always probes the same
+points: a one-shot draw is the first normals of its stream (:func:`_normals`);
+the three pair inequalities of the drift b_Z (strong monotonicity, 2L
+Lipschitz, contraction of z + eta b_Z(z)) share one chunked sweep,
+:func:`_worst_over_pairs`, and supply only their per-pair statistic; the
+Talagrand/log-Sobolev and W2-triangle suites draw one stacked ``GaussianDist``
+and call each law function once.  One builder, :func:`_result`, names every
+result, ``title[<payoff class>]`` when a payoff is probed.  Every bound carries
+a small float slack since several inequalities are tight (e.g. monotonicity of
+a decoupled isotropic quadratic binds with equality).
 
 Every suite reduces its per-sample statistics with ``np.max``/``np.min``,
 which propagate NaN, so a NaN sample fails its bound instead of being
@@ -63,6 +62,17 @@ def _stream(seed: int, tag: str):
     return create_stream(seed, derive_stream_id(tag, 0, 0))
 
 
+def _normals(seed: int, tag: str, *shape: int) -> np.ndarray:
+    """The first ``prod(shape)`` normals of the ``tag`` stream, in ``shape``."""
+    return standard_normal_block(_stream(seed, tag), int(np.prod(shape))).reshape(shape)
+
+
+def _result(title: str, spec, passed: bool, detail: str) -> CheckResult:
+    """``title[<payoff class>]`` when a payoff ``spec`` is probed, else ``title``."""
+    name = title if spec is None else f"{title}[{type(spec).__name__}]"
+    return CheckResult(name=name, passed=passed, detail=detail)
+
+
 # Probe pairs per drawn-and-drifted chunk.  The chunk bounds memory, not
 # time: drawing all 10,000 contraction pairs in one batch raises the peak RSS
 # of ``check --seed 8`` from 62.9 to 76.0 MB (+21%, on a 2-vCPU x86-64 Linux
@@ -98,25 +108,22 @@ def _stretch(dv, z1, z2):
     )
 
 
-def _random_gaussians(stream, count: int, dim: int, ridge: float) -> GaussianDist:
+def _random_gaussians(seed: int, tag: str, count: int, dim: int,
+                      ridge: float) -> GaussianDist:
     """A stack of ``count`` Gaussians N(m, R R'/dim + ridge I), m and R drawn
-    standard normal: one stream block holds each Gaussian's m, then R row by
-    row."""
-    g = standard_normal_block(stream, count * (dim + 1) * dim).reshape(count, -1, dim)
+    standard normal: the ``tag`` stream holds each Gaussian's m, then R row
+    by row."""
+    g = _normals(seed, tag, count, dim + 1, dim)
     mean, r = g[:, 0], g[:, 1:]
     return GaussianDist(mean=mean, cov=r @ r.swapaxes(1, 2) / dim + ridge * np.eye(dim))
 
 
 def check_gradients(spec: PayoffSpec, tol: float, seed: int = 0, points: int = 100):
     require("at least 1", points=points)
-    draws = standard_normal_block(_stream(seed, "gradcheck"), 2 * points * spec.dim)
-    x, y = draws.reshape(points, 2, spec.dim).transpose(1, 0, 2)
+    x, y = _normals(seed, "gradcheck", points, 2, spec.dim).transpose(1, 0, 2)
     worst = check_gradient_fd(spec, x, y, h=1e-5)
-    return CheckResult(
-        name=f"gradient_fd[{type(spec).__name__}]",
-        passed=worst <= tol,
-        detail=f"max deviation {worst:.3e} (tol {tol:.0e}, {points} points)",
-    )
+    return _result("gradient_fd", spec, worst <= tol,
+                   f"max deviation {worst:.3e} (tol {tol:.0e}, {points} points)")
 
 
 def gradient_checks(dim: int = 2, seed: int = 0, points: int = 100):
@@ -138,11 +145,8 @@ def check_monotonicity(spec: PayoffSpec, seed: int = 0, pairs: int = 1000, n: in
         return margin / np.maximum(dist_sq, 1e-300)
 
     worst = _worst_over_pairs(spec, "monotone", seed, pairs, n, violation)
-    return CheckResult(
-        name=f"strong_monotonicity[{type(spec).__name__}]",
-        passed=worst <= _REL_SLACK,
-        detail=f"max normalized violation {worst:.3e} over {pairs} pairs",
-    )
+    return _result("strong_monotonicity", spec, worst <= _REL_SLACK,
+                   f"max normalized violation {worst:.3e} over {pairs} pairs")
 
 
 def check_lipschitz(spec: PayoffSpec, seed: int = 0, pairs: int = 1000, n: int = 4):
@@ -152,11 +156,8 @@ def check_lipschitz(spec: PayoffSpec, seed: int = 0, pairs: int = 1000, n: int =
         lambda z1, z2, b1, b2: _stretch(b1 - b2, z1, z2),
     )
     bound = 2.0 * spec.constants().smooth_L
-    return CheckResult(
-        name=f"drift_lipschitz[{type(spec).__name__}]",
-        passed=worst <= bound * (1.0 + _REL_SLACK),
-        detail=f"max ratio {worst:.6f} vs 2L = {bound:.6f}",
-    )
+    return _result("drift_lipschitz", spec, worst <= bound * (1.0 + _REL_SLACK),
+                   f"max ratio {worst:.6f} vs 2L = {bound:.6f}")
 
 
 def check_contraction(spec: PayoffSpec, seed: int = 0, pairs: int = 10_000,
@@ -169,11 +170,8 @@ def check_contraction(spec: PayoffSpec, seed: int = 0, pairs: int = 10_000,
         spec, "contraction", seed, pairs, n,
         lambda z1, z2, b1, b2: _stretch((z1 + eta * b1) - (z2 + eta * b2), z1, z2),
     )
-    return CheckResult(
-        name=f"one_step_contraction[{type(spec).__name__}]",
-        passed=worst <= m * (1.0 + slack),
-        detail=f"max ratio {worst:.12f} vs M = {m:.12f} ({pairs} pairs)",
-    )
+    return _result("one_step_contraction", spec, worst <= m * (1.0 + slack),
+                   f"max ratio {worst:.12f} vs M = {m:.12f} ({pairs} pairs)")
 
 
 def check_equilibrium_drift(spec: PayoffSpec, n: int = 8):
@@ -181,42 +179,32 @@ def check_equilibrium_drift(spec: PayoffSpec, n: int = 8):
     z_star, _ = solve_equilibrium(spec, tol=1e-12)
     state = replicate_point(z_star, n)
     norm = float(np.max(np.abs(joint_drift(spec, state))))
-    return CheckResult(
-        name=f"equilibrium_drift_zero[{type(spec).__name__}]",
-        passed=norm <= 1e-11,
-        detail=f"max |b_Z| component {norm:.3e} at the all-equilibrium state",
-    )
+    return _result("equilibrium_drift_zero", spec, norm <= 1e-11,
+                   f"max |b_Z| component {norm:.3e} at the all-equilibrium state")
 
 
 def check_permutation_equivariance(spec: PayoffSpec, seed: int = 0, n: int = 6):
     """Permuting particles permutes the drift rows identically."""
     from .dynamics import drift_particles
 
-    vec = 2.0 * standard_normal_block(_stream(seed, "permute"), 2 * n * spec.dim)
-    xs, ys = vec.reshape(2, n, spec.dim)
+    xs, ys = 2.0 * _normals(seed, "permute", 2, n, spec.dim)
     perm = np.arange(n)[::-1]
     b_x, b_y = drift_particles(spec, ParticleState(xs=xs, ys=ys))
     pb_x, pb_y = drift_particles(spec, ParticleState(xs=xs[perm], ys=ys[perm]))
     err = float(np.max(np.abs(np.stack([b_x[perm] - pb_x, b_y[perm] - pb_y]))))
-    return CheckResult(
-        name=f"permutation_equivariance[{type(spec).__name__}]",
-        passed=err <= 1e-12,
-        detail=f"max row discrepancy {err:.3e}",
-    )
+    return _result("permutation_equivariance", spec, err <= 1e-12,
+                   f"max row discrepancy {err:.3e}")
 
 
 def check_gd_envelope(spec: PayoffSpec, seed: int = 0, steps: int = 500):
     """Min-max GD stays below exp(-alpha eta k) * initial squared distance."""
-    draws = standard_normal_block(_stream(seed, "gd-envelope"), 2 * spec.dim)
-    x, y = draws.reshape(2, spec.dim)
+    x, y = _normals(seed, "gd-envelope", 2, spec.dim)
     try:
         gd_rate_audit(spec, JointPoint(x=x, y=y), spec.constants().eta_gd, steps)
         ok, detail = True, f"{steps} steps below envelope"
     except EnvelopeViolation as exc:
         ok, detail = False, str(exc)
-    return CheckResult(
-        name=f"gd_rate_envelope[{type(spec).__name__}]", passed=ok, detail=detail
-    )
+    return _result("gd_rate_envelope", spec, ok, detail)
 
 
 def check_functional_inequalities(seed: int = 0, pairs: int = 200):
@@ -231,32 +219,25 @@ def check_functional_inequalities(seed: int = 0, pairs: int = 200):
     tau = 0.7
     nu = joint_equilibrium(quad, tau)
     alpha = quad.constants().alpha
-    p = _random_gaussians(_stream(seed, "functional"), pairs, nu.dim, 0.05)
+    p = _random_gaussians(seed, "functional", pairs, nu.dim, 0.05)
     kl = gaussian_kl(p, nu)
     w2 = gaussian_w2(p, nu)
     fi = gaussian_relative_fi(p, nu)
     slack_t = kl - (alpha / (2.0 * tau)) * w2 + _REL_SLACK * (1 + kl)
     slack_ls = fi - 2.0 * (alpha / tau) * kl + _REL_SLACK * (1 + fi)
     worst_t, worst_ls = float(np.min(slack_t)), float(np.min(slack_ls))
-    ok = worst_t >= 0.0 and worst_ls >= 0.0
-    return CheckResult(
-        name="talagrand_and_log_sobolev",
-        passed=ok,
-        detail=f"min slack: talagrand {worst_t:.3e}, log-sobolev {worst_ls:.3e}",
-    )
+    return _result("talagrand_and_log_sobolev", None, worst_t >= 0.0 and worst_ls >= 0.0,
+                   f"min slack: talagrand {worst_t:.3e}, log-sobolev {worst_ls:.3e}")
 
 
 def check_w2_triangle(seed: int = 0, triples: int = 100, dim: int = 3):
     require("at least 1", triples=triples)
-    gs = _random_gaussians(_stream(seed, "triangle"), 3 * triples, dim, 0.1)
+    gs = _random_gaussians(seed, "triangle", 3 * triples, dim, 0.1)
     p, q, r = (GaussianDist(mean=gs.mean[i::3], cov=gs.cov[i::3]) for i in range(3))
     w_pr, w_pq, w_qr = (np.sqrt(gaussian_w2(a, b)) for a, b in ((p, r), (p, q), (q, r)))
     worst = float(np.max(w_pr - (w_pq + w_qr)))  # W2(p,r) - W2(p,q) - W2(q,r)
-    return CheckResult(
-        name="gaussian_w2_triangle",
-        passed=worst <= _REL_SLACK,
-        detail=f"max violation {worst:.3e} over {triples} triples",
-    )
+    return _result("gaussian_w2_triangle", None, worst <= _REL_SLACK,
+                   f"max violation {worst:.3e} over {triples} triples")
 
 
 def check_second_moment_stability(seed: int = 0):
@@ -270,8 +251,7 @@ def check_second_moment_stability(seed: int = 0):
     params = AlgorithmParams(eta=eta, tau=tau, n_particles=n, steps=steps)
     z_star, _ = solve_equilibrium(quad)
     z_pair = np.stack([z_star.x, z_star.y])[:, None]  # (2, 1, d): x row, y row
-    noise = standard_normal_block(_stream(seed, "moment-init"), 2 * n * d)
-    xs, ys = z_pair + noise.reshape(2, n, d)
+    xs, ys = z_pair + _normals(seed, "moment-init", 2, n, d)
     checkpoints, _ = run_algorithm(
         quad, ParticleState(xs=xs, ys=ys), params, seed=seed, checkpoint_every=1,
         on_checkpoint=lambda k, s: float(np.sum((np.stack([s.xs, s.ys]) - z_pair) ** 2)),
@@ -280,11 +260,9 @@ def check_second_moment_stability(seed: int = 0):
     m = contraction_factor(c.alpha, c.smooth_L, eta)
     bound = 2.0 * sq[0] + 8.0 * tau * eta * d * n / (1.0 - m**2)
     running_mean = float(np.mean(sq))
-    return CheckResult(
-        name="second_moment_stability",
-        passed=running_mean <= bound * 1.25,  # Monte-Carlo slack
-        detail=f"running mean {running_mean:.3f} vs bound {bound:.3f}",
-    )
+    return _result("second_moment_stability", None,
+                   running_mean <= bound * 1.25,  # Monte-Carlo slack
+                   f"running mean {running_mean:.3f} vs bound {bound:.3f}")
 
 
 def check_rng_consistency(seed: int = 123):
@@ -310,33 +288,23 @@ def check_rng_consistency(seed: int = 123):
     )
     prefix_ok = (x9.shape == y9.shape == (9, 7) and np.array_equal(x5, x9[:5])
                  and np.array_equal(y5, y9[:5]))
-    return CheckResult(
-        name="rng_stream_consistency",
-        passed=ok_split and rows_ok and prefix_ok,
-        detail=f"block split {ok_split}, keyed rows {rows_ok}, "
-        f"particle prefix {prefix_ok}",
-    )
+    return _result("rng_stream_consistency", None, ok_split and rows_ok and prefix_ok,
+                   f"block split {ok_split}, keyed rows {rows_ok}, "
+                   f"particle prefix {prefix_ok}")
 
 
 def run_all_checks(seed: int = 0) -> list[CheckResult]:
-    quad, pert = default_specs(dim=2)
-    results = [
+    """Every suite in report order, each per-family one on both default specs."""
+    specs = default_specs(dim=2)
+    return [
         *gradient_checks(seed=seed),
-        check_monotonicity(quad, seed=seed),
-        check_monotonicity(pert, seed=seed),
-        check_lipschitz(quad, seed=seed),
-        check_lipschitz(pert, seed=seed),
-        check_contraction(quad, seed=seed),
-        check_contraction(pert, seed=seed),
-        check_equilibrium_drift(quad),
-        check_equilibrium_drift(pert),
-        check_permutation_equivariance(quad, seed=seed),
-        check_permutation_equivariance(pert, seed=seed),
-        check_gd_envelope(quad, seed=seed),
-        check_gd_envelope(pert, seed=seed),
+        *(check(spec, seed=seed) for check in
+          (check_monotonicity, check_lipschitz, check_contraction) for spec in specs),
+        *(check_equilibrium_drift(spec) for spec in specs),
+        *(check(spec, seed=seed) for check in
+          (check_permutation_equivariance, check_gd_envelope) for spec in specs),
         check_functional_inequalities(seed=seed),
         check_w2_triangle(seed=seed),
         check_second_moment_stability(seed=seed),
         check_rng_consistency(),
     ]
-    return results

@@ -303,6 +303,8 @@ def load_snapshot(path) -> ParticleState:
 def coupling_distance_sq(pair: ParticleState) -> float:
     """``|z^A - z^B|^2`` of a stacked pair, summed in z = (x^1..x^N, y^1..y^N) order."""
     xs, ys = pair.xs, pair.ys
+    if xs.shape[:-2] != (2,):
+        raise ValueError(f"need a stacked pair of shape (2, N, d), got {xs.shape}")
     return float(np.sum(np.stack([xs[0] - xs[1], ys[0] - ys[1]]) ** 2))
 
 

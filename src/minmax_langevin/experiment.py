@@ -212,9 +212,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
     # initialization law and positive temperature.
     envelope = None
     bias_value = None
-    variance_reading = "n/a"
     if quadratic and config.tau > 0.0 and init_law is not None:
-        variance_reading = "exact"
         # These depend on the config alone, so their overflow is its error.
         with _overflow_raises(ConfigError(
                 "tau, init.cov_scale: the exact variance, bias bound or "
@@ -226,10 +224,10 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
             kl0 = gaussian_kl(init_law, reference)
             w20 = gaussian_w2(init_law, reference)
 
-        def envelope(step: int, _bias=bias_value) -> float:
+        def envelope(step: int) -> float:
             return transient_kl_envelope(
                 n * kl0, n * w20, constants.alpha, constants.smooth_L,
-                config.tau, eta, step, _bias, n,
+                config.tau, eta, step, bias_value, n,
             )
 
     # A checkpoint captures in the loop what needs the live state; buffered
@@ -329,7 +327,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
             "strict_eta_le_alpha_over_64L2": bool(eta <= constants.eta_strict),
             "strict_eta_enforced": config.algorithm.strict_eta,
         },
-        "variance_reading": variance_reading,
+        "variance_reading": "exact" if envelope is not None else "n/a",
         "equilibrium_reference": ("none" if reference is None else
                                   "exact" if quadratic else "gaussian_proxy"),
         "contraction_factor_M": contraction_factor(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -363,6 +365,14 @@ class TestCoupled:
         expected = float(np.sum((flat[0] - flat[1]) ** 2))
         got = coupling_distance_sq(ParticleState(xs=xs, ys=ys))
         assert got.hex() == expected.hex()
+
+    # A lone (4, 2) cloud used to return the distance of its particles 0 and
+    # 1, and a 3-system stack silently dropped system 2.
+    @pytest.mark.parametrize("shape", [(4, 2), (1, 4, 2), (3, 4, 2), (2, 2, 4, 2)])
+    def test_coupling_distance_rejects_a_state_that_is_not_a_pair(self, shape):
+        xs = np.ones(shape)
+        with pytest.raises(ValueError, match=r"\(2, N, d\).*" + re.escape(str(shape))):
+            coupling_distance_sq(ParticleState(xs=xs, ys=xs))
 
     def test_rejects_uncertified_step_size(self):
         q = scalar_quadratic(c=0.0)  # alpha = L = 1

@@ -1,0 +1,64 @@
+"""Plausible bugs that the property suites must catch.
+
+Each mutant is a monkeypatch of one line of the solver; nothing in ``src/``
+is edited.  A test pins the suite that catches its mutant at seed 8 (the
+seed ``check`` is pinned at), and that the unmutated suite passes there.
+
+The two noise-addressing mutants are caught in ``check`` only by their
+own line's self-test, ``rng_stream_consistency``; that pin is kept too.
+The sign of C flipped in the drift alone fails no suite: the flipped drift
+has the same monotonicity, Lipschitz and contraction constants, and the
+default payoffs have z* = 0, where the flip changes nothing.  Besides the
+byte pins, only the drift's and the step's unit tests (a pairwise
+reference, min-max GD) catch it, so it has no test here.
+"""
+
+import numpy as np
+import pytest
+
+from minmax_langevin import checks, dynamics, rng
+
+QUAD, _ = checks.default_specs()
+SEED = 8
+_BLOCK = rng.KeyedNoise.block
+
+
+def opponent_mean_over_every_leading_axis(spec, state):
+    """Averages over the stacked systems too, so a probe batch mixes its rows."""
+    axes = tuple(range(state.xs.ndim - 1))
+    x_bar = np.mean(state.xs, axis=axes, keepdims=True)
+    y_bar = np.mean(state.ys, axis=axes, keepdims=True)
+    return -spec.grad_x(state.xs, y_bar), spec.grad_y(x_bar, state.ys)
+
+
+def noise_read_one_step_late(self, role, n, step, dim):
+    """Step k draws the words of step k - 1 (step 0 its own)."""
+    return _BLOCK(self, role, n, max(step - 1, 0), dim)
+
+
+def y_takes_the_x_cosine_variate(self, role, n, step, dim):
+    """Each second role of a pair returns its first role's cosine variates."""
+    first = {"y": "x", "init-y": "init-x"}.get(role, role)
+    return _BLOCK(self, first, n, step, dim)
+
+
+# (mutant, patched owner, attribute, the suite that catches it, its result name)
+MUTANTS = [
+    (opponent_mean_over_every_leading_axis, dynamics, "drift_particles",
+     lambda: checks.check_monotonicity(QUAD, seed=SEED),
+     "strong_monotonicity[QuadraticBilinear]"),
+    (noise_read_one_step_late, rng.KeyedNoise, "block",
+     checks.check_rng_consistency, "rng_stream_consistency"),
+    (y_takes_the_x_cosine_variate, rng.KeyedNoise, "block",
+     checks.check_rng_consistency, "rng_stream_consistency"),
+]
+
+
+@pytest.mark.parametrize("mutant, owner, attr, suite, name", MUTANTS,
+                         ids=[m[0].__name__ for m in MUTANTS])
+def test_suite_catches_mutant(monkeypatch, mutant, owner, attr, suite, name):
+    assert suite().passed
+    monkeypatch.setattr(owner, attr, mutant)
+    result = suite()
+    assert result.name == name
+    assert not result.passed, result.detail
