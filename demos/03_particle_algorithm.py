@@ -11,6 +11,7 @@ checkpoint next to the certified one-sided envelope.
 import numpy as np
 
 from minmax_langevin import (
+    GaussianDist,
     KeyedNoise,
     QuadraticBilinear,
     fit_gaussian,
@@ -47,7 +48,7 @@ init, _ = initial_state(config, config.init, KeyedNoise(config.seed))
 nu_z = joint_equilibrium(spec, config.tau)
 
 def kl_at(step, state):
-    fit, _ = fit_gaussian(state.pairs())
+    fit = GaussianDist(*fit_gaussian(state.pairs()))
     return gaussian_kl(fit, nu_z)
 
 checkpoints, final = run_algorithm(
@@ -60,7 +61,7 @@ for step, kl in checkpoints:
     print(f"{step:>6} {kl:>16.6f}")
 
 pooled = final.pairs()
-fit, _ = fit_gaussian(pooled)
+fit = GaussianDist(*fit_gaussian(pooled))
 print("\nfinal fitted mean:", fit.mean, " (equilibrium mean:", nu_z.mean, ")")
 print("final fitted cov trace:", np.trace(fit.cov),
       " (equilibrium trace:", np.trace(nu_z.cov), ")")

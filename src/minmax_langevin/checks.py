@@ -6,11 +6,11 @@ points: a one-shot draw is the first normals of its stream (:func:`_normals`);
 the three pair inequalities of the drift b_Z (strong monotonicity, 2L
 Lipschitz, contraction of z + eta b_Z(z)) share one chunked sweep,
 :func:`_worst_over_pairs`, and supply only their per-pair statistic; the
-Talagrand/log-Sobolev and W2-triangle suites draw one stacked ``GaussianDist``
-and call each law function once.  One builder, :func:`_result`, names every
-result, ``title[<payoff class>]`` when a payoff is probed.  Every bound carries
-a small float slack since several inequalities are tight (e.g. monotonicity of
-a decoupled isotropic quadratic binds with equality).
+Talagrand/log-Sobolev and W2-triangle suites build each law stack once, from
+drawn moments, and call each law function once.  One builder, :func:`_result`,
+names every result, ``title[<payoff class>]`` when a payoff is probed.  Every
+bound carries a small float slack since several inequalities are tight (e.g.
+monotonicity of a decoupled isotropic quadratic binds with equality).
 
 Every suite reduces its per-sample statistics with ``np.max``/``np.min``,
 which propagate NaN, so a NaN sample fails its bound instead of being
@@ -108,14 +108,13 @@ def _stretch(dv, z1, z2):
     )
 
 
-def _random_gaussians(seed: int, tag: str, count: int, dim: int,
-                      ridge: float) -> GaussianDist:
-    """A stack of ``count`` Gaussians N(m, R R'/dim + ridge I), m and R drawn
-    standard normal: the ``tag`` stream holds each Gaussian's m, then R row
-    by row."""
+def _random_gaussians(seed: int, tag: str, count: int, dim: int, ridge: float):
+    """The moments ``(means, covs)`` of ``count`` Gaussians N(m, R R'/dim +
+    ridge I), m and R drawn standard normal: the ``tag`` stream holds each
+    Gaussian's m, then R row by row."""
     g = _normals(seed, tag, count, dim + 1, dim)
-    mean, r = g[:, 0], g[:, 1:]
-    return GaussianDist(mean=mean, cov=r @ r.swapaxes(1, 2) / dim + ridge * np.eye(dim))
+    r = g[:, 1:]
+    return g[:, 0], r @ r.swapaxes(1, 2) / dim + ridge * np.eye(dim)
 
 
 def check_gradients(spec: PayoffSpec, tol: float, seed: int = 0, points: int = 100):
@@ -219,7 +218,7 @@ def check_functional_inequalities(seed: int = 0, pairs: int = 200):
     tau = 0.7
     nu = joint_equilibrium(quad, tau)
     alpha = quad.constants().alpha
-    p = _random_gaussians(seed, "functional", pairs, nu.dim, 0.05)
+    p = GaussianDist(*_random_gaussians(seed, "functional", pairs, nu.dim, 0.05))
     kl = gaussian_kl(p, nu)
     w2 = gaussian_w2(p, nu)
     fi = gaussian_relative_fi(p, nu)
@@ -232,8 +231,8 @@ def check_functional_inequalities(seed: int = 0, pairs: int = 200):
 
 def check_w2_triangle(seed: int = 0, triples: int = 100, dim: int = 3):
     require("at least 1", triples=triples)
-    gs = _random_gaussians(seed, "triangle", 3 * triples, dim, 0.1)
-    p, q, r = (GaussianDist(mean=gs.mean[i::3], cov=gs.cov[i::3]) for i in range(3))
+    means, covs = _random_gaussians(seed, "triangle", 3 * triples, dim, 0.1)
+    p, q, r = (GaussianDist(mean=means[i::3], cov=covs[i::3]) for i in range(3))
     w_pr, w_pq, w_qr = (np.sqrt(gaussian_w2(a, b)) for a, b in ((p, r), (p, q), (q, r)))
     worst = float(np.max(w_pr - (w_pq + w_qr)))  # W2(p,r) - W2(p,q) - W2(q,r)
     return _result("gaussian_w2_triangle", None, worst <= _REL_SLACK,

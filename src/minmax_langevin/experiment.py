@@ -6,9 +6,9 @@ particle algorithm with metric checkpoints, and (4), for quadratic payoffs,
 attachment of the one-sided theory envelopes to every checkpoint row.
 
 In step (3) a checkpoint keeps only what needs the live state: the snapshot,
-one Gaussian fit, the coupling distance and the wall time.  The captures are
-scored ``_SCORE_CHUNK`` at a time: one stacked ``GaussianDist`` and one KL,
-W2 and gap call per chunk, each row with the bits its own call would give.
+the sample moments, the coupling distance and the wall time.  Captures are
+scored ``_SCORE_CHUNK`` at a time: the fits as one stacked ``GaussianDist``,
+then one KL, W2 and gap call, each row with the bits its own call would give.
 An overflow in a chunk is re-scored row by row, so the error names the first
 checkpoint that overflowed.
 
@@ -86,8 +86,8 @@ class _Capture(NamedTuple):
 
     step: int
     wall_time: float
-    fit: GaussianDist | None
     avg_mean: np.ndarray
+    cov: np.ndarray | None
     distance: float | None
 
 
@@ -241,11 +241,11 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
             save_snapshot(out / f"snapshot_{step:08d}.csv", state)
         pairs = state.pairs()
         with _overflow_raises(DivergenceError(step, "checkpoint statistics overflowed")):
-            fit = fit_gaussian(pairs)[0] if state.n_particles >= 2 else None
-            avg_mean = fit.mean if fit is not None else pairs.mean(axis=0)
+            avg_mean, cov = (fit_gaussian(pairs) if state.n_particles >= 2
+                             else (pairs.mean(axis=0), None))
             distance = coupling_distance_sq(stack) if coupled else None
         wall_time = time.perf_counter() - t_start
-        captured.append(_Capture(step, wall_time, fit, avg_mean, distance))
+        captured.append(_Capture(step, wall_time, avg_mean, cov, distance))
         if len(captured) == _SCORE_CHUNK:
             flush()
 
@@ -256,13 +256,14 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
         means = np.array([c.avg_mean for c in chunk])
         gaps = duality_gap_bound(spec, JointPoint(x=means[:, :d], y=means[:, d:]))
         traces, kls, w2s = [0.0] * k, [None] * k, [None] * k
-        if chunk[0].fit is not None:
-            covs = np.array([c.fit.cov for c in chunk])
-            traces = np.trace(covs, axis1=1, axis2=2).tolist()
-            rows = [i for i, c in enumerate(chunk) if not c.fit.degenerate]
-            if reference is not None and rows:
-                fits = GaussianDist(mean=means[rows], cov=covs[rows])
-                for i, kl, w2 in zip(rows, gaussian_kl(fits, reference).tolist(),
+        if chunk[0].cov is not None:
+            fits = GaussianDist(mean=means, cov=np.array([c.cov for c in chunk]))
+            traces = np.trace(fits.cov, axis1=1, axis2=2).tolist()
+            rows = np.flatnonzero(~fits.degenerate)
+            if reference is not None and rows.size:
+                if rows.size < k:  # no degenerate fit reaches KL or W2
+                    fits = GaussianDist(mean=means[rows], cov=fits.cov[rows])
+                for i, kl, w2 in zip(rows.tolist(), gaussian_kl(fits, reference).tolist(),
                                      gaussian_w2(fits, reference).tolist()):
                     kls[i], w2s[i] = kl, w2
         return [MetricsRecord(

@@ -2,11 +2,11 @@
 
 Closed-form divergences between Gaussians (KL, squared Wasserstein-2,
 relative Fisher information) evaluate the theory envelopes exactly; the
-empirical side is a Gaussian plug-in fit (sample mean and covariance) plus
-exact 1-d optimal transport.  The divergences read :class:`GaussianDist`'s
-cached factors and its one degeneracy rule, so a degenerate fit has
-infinite KL and no Fisher information.  Either argument of KL, W2 and
-Fisher may be a stack of laws: one formula serves one law and a stack.
+empirical side is a sample's plug-in moments (a caller builds the law, or a
+stack of them) plus exact 1-d optimal transport.  The divergences read
+:class:`GaussianDist`'s cached factors and its one degeneracy rule, so a
+degenerate fit has infinite KL and no Fisher information.  Either argument
+of KL, W2 and Fisher may be a stack of laws: one formula serves both.
 """
 
 from __future__ import annotations
@@ -52,10 +52,11 @@ class MetricsRecord:
 
 
 def fit_gaussian(samples: np.ndarray):
-    """Plug-in Gaussian fit: sample mean and unbiased (n-1) covariance.
+    """Plug-in Gaussian moments: sample mean and unbiased (n-1) covariance.
 
-    Returns ``(dist, dist.degenerate)``: the flag marks a rank-deficient
-    covariance (smallest eigenvalue at or below the PSD clip).
+    Returns ``(mean, cov)``, ``cov`` symmetrized.  The fitted law is
+    ``GaussianDist(*fit_gaussian(x))``; its ``degenerate`` flag marks a
+    rank-deficient covariance (smallest eigenvalue at or below the PSD clip).
     """
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2 or samples.shape[0] < 2:
@@ -63,9 +64,7 @@ def fit_gaussian(samples: np.ndarray):
     mean = np.add.reduce(samples, axis=0) / samples.shape[0]  # np.mean's bits
     centered = samples - mean
     cov = centered.T @ centered / (samples.shape[0] - 1)
-    cov = 0.5 * (cov + cov.T)
-    dist = GaussianDist(mean=mean, cov=cov)
-    return dist, dist.degenerate
+    return mean, 0.5 * (cov + cov.T)
 
 
 def _check_dims(p: GaussianDist, q: GaussianDist):

@@ -11,6 +11,7 @@ import pytest
 
 from minmax_langevin import (
     AlgorithmParams,
+    GaussianDist,
     JointPoint,
     KeyedNoise,
     QuadraticBilinear,
@@ -153,7 +154,7 @@ def test_criterion_4_stationary_bias_envelope(stationary_run):
     tau = config.tau
     n = config.algorithm.n_particles
 
-    fit, degenerate = fit_gaussian(pooled)
+    fit = GaussianDist(*fit_gaussian(pooled))
     nu_z = joint_equilibrium(spec, tau)
     kl = gaussian_kl(fit, nu_z)
     bound = kl_bias_bound(
@@ -164,7 +165,7 @@ def test_criterion_4_stationary_bias_envelope(stationary_run):
     mean_err = float(np.linalg.norm(fit.mean - z_star.vector))
     mean_tol = 4.0 * np.sqrt(np.trace(nu_z.cov) / pooled.shape[0])
     ok = (
-        not degenerate
+        not fit.degenerate
         and kl <= bound
         and mean_err <= mean_tol
         and elapsed < 60.0
@@ -181,7 +182,7 @@ def test_criterion_5_variance_bound(stationary_run):
     c = spec.constants()
     tau = config.tau
     joint_dim_bound = 2.0 * tau * (2 * spec.dim) / c.alpha
-    fit, _ = fit_gaussian(pooled)
+    fit = GaussianDist(*fit_gaussian(pooled))
     empirical_trace = float(np.trace(fit.cov))
     exact_trace = equilibrium_variance(spec, tau)
     ok = (

@@ -30,23 +30,23 @@ def gauss1(mean, var):
 
 class TestFitGaussian:
     def test_two_point_formula(self):
-        dist, degenerate = fit_gaussian(np.array([[0.0], [2.0]]))
+        dist = GaussianDist(*fit_gaussian(np.array([[0.0], [2.0]])))
         assert dist.mean[0] == pytest.approx(1.0)
         assert dist.cov[0, 0] == pytest.approx(2.0)  # divisor n - 1
-        assert not degenerate
+        assert not dist.degenerate
 
     def test_identical_samples_flagged_degenerate(self):
-        dist, degenerate = fit_gaussian(np.ones((5, 2)))
+        dist = GaussianDist(*fit_gaussian(np.ones((5, 2))))
         np.testing.assert_array_equal(dist.cov, np.zeros((2, 2)))
-        assert degenerate
+        assert dist.degenerate
 
     def test_affine_equivariance(self):
         rng = np.random.default_rng(0)
         samples = rng.normal(size=(200, 3))
         t = rng.normal(size=(3, 3))
         b = rng.normal(size=3)
-        base, _ = fit_gaussian(samples)
-        mapped, _ = fit_gaussian(samples @ t.T + b)
+        base = GaussianDist(*fit_gaussian(samples))
+        mapped = GaussianDist(*fit_gaussian(samples @ t.T + b))
         np.testing.assert_allclose(mapped.mean, t @ base.mean + b, atol=1e-12)
         np.testing.assert_allclose(mapped.cov, t @ base.cov @ t.T, atol=1e-12)
 
@@ -165,9 +165,9 @@ class TestCovarianceAlgebra:
         # eigenvalue is under PSD_CLIP, so every divergence treats it as
         # singular.
         s = np.sqrt(0.75e-13)
-        fit, degenerate = fit_gaussian(np.array([[1, s], [-1, -s], [1, -s], [-1, s]]))
+        fit = GaussianDist(*fit_gaussian(np.array([[1, s], [-1, -s], [1, -s], [-1, s]])))
         np.testing.assert_allclose(np.diag(fit.cov), [4.0 / 3.0, 1e-13], rtol=1e-12)
-        assert degenerate and fit.degenerate
+        assert fit.degenerate
         assert fit.logdet > -np.inf
         full = GaussianDist.isotropic(np.zeros(2), 1.0)
         assert not full.degenerate

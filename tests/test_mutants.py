@@ -6,12 +6,14 @@ seed ``check`` is pinned at), and that the unmutated suite passes there.
 
 The two noise-addressing mutants are caught in ``check`` only by their
 own line's self-test, ``rng_stream_consistency``; that pin is kept too.
-The sign of C flipped in the drift alone fails no suite: the flipped drift
-has the same monotonicity, Lipschitz and contraction constants, and the
-default payoffs have z* = 0, where the flip changes nothing.  Besides the
-byte pins, only the drift's and the step's unit tests (a pairwise
-reference, min-max GD) catch it, so it has no test here.
+The sign of C flipped in the drift alone fails no suite of ``check``: the
+flipped drift has the same monotonicity, Lipschitz and contraction
+constants, and the default payoffs have z* = 0, where the flip changes
+nothing.  The equilibrium-drift suite catches it on a payoff with z* != 0,
+which is pinned here.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ import pytest
 from minmax_langevin import checks, dynamics, rng
 
 QUAD, _ = checks.default_specs()
+# QUAD moved off the origin: u and v put its equilibrium at z* != 0.
+SHIFTED = dataclasses.replace(QUAD, u=[1.0, -1.0], v=[0.5, 0.25])
 SEED = 8
 _BLOCK = rng.KeyedNoise.block
 
@@ -29,6 +33,13 @@ def opponent_mean_over_every_leading_axis(spec, state):
     x_bar = np.mean(state.xs, axis=axes, keepdims=True)
     y_bar = np.mean(state.ys, axis=axes, keepdims=True)
     return -spec.grad_x(state.xs, y_bar), spec.grad_y(x_bar, state.ys)
+
+
+def c_sign_flipped_in_the_drift(spec, state):
+    """The opponent's mean enters each drift with C's sign flipped."""
+    x_bar = np.mean(state.xs, axis=-2, keepdims=True)
+    y_bar = np.mean(state.ys, axis=-2, keepdims=True)
+    return -spec.grad_x(state.xs, -y_bar), spec.grad_y(-x_bar, state.ys)
 
 
 def noise_read_one_step_late(self, role, n, step, dim):
@@ -47,6 +58,9 @@ MUTANTS = [
     (opponent_mean_over_every_leading_axis, dynamics, "drift_particles",
      lambda: checks.check_monotonicity(QUAD, seed=SEED),
      "strong_monotonicity[QuadraticBilinear]"),
+    (c_sign_flipped_in_the_drift, dynamics, "drift_particles",
+     lambda: checks.check_equilibrium_drift(SHIFTED),
+     "equilibrium_drift_zero[QuadraticBilinear]"),
     (noise_read_one_step_late, rng.KeyedNoise, "block",
      checks.check_rng_consistency, "rng_stream_consistency"),
     (y_takes_the_x_cosine_variate, rng.KeyedNoise, "block",

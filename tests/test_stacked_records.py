@@ -211,6 +211,22 @@ class TestChunkedRun:
         run_experiment(parse_config(COUPLED_DENSE.format(n=8, steps=300)), tmp_path)
         assert calls == {"fit": 301, "kl": 5, "w2": 5, "gap": 4}
 
+    def test_each_law_is_built_once(self, tmp_path, monkeypatch):
+        builds = []
+        post_init = GaussianDist.__post_init__
+
+        def counted(self):
+            builds.append(self.mean.shape)
+            post_init(self)
+
+        monkeypatch.setattr(GaussianDist, "__post_init__", counted)
+        monkeypatch.setattr(experiment, "_SCORE_CHUNK", 100)
+        # The init law and the equilibrium reference, then one stacked fit
+        # per chunk of 100, 100, 100 and 1 checkpoints: no fit is a law
+        # before its chunk is scored.
+        run_experiment(parse_config(COUPLED_DENSE.format(n=8, steps=300)), tmp_path)
+        assert builds == [(4,), (4,), (100, 4), (100, 4), (100, 4), (1, 4)]
+
     def test_manifest_times_the_phases(self, tmp_path):
         config = parse_config(COUPLED_DENSE.format(n=8, steps=20))
         bundle = run_experiment(config, tmp_path)
@@ -260,6 +276,45 @@ class TestScoringOverflow:
         cfg.write_text(OVERFLOW_AT_STEP_2)
         assert main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "o")]) == 3
         assert "divergence: step 2: checkpoint statistics overflowed" in capsys.readouterr().err
+
+
+# Two or three particles in R^4 fit a singular covariance at every step.
+DEGENERATE_FITS = """\
+payoff.kind = QuadraticBilinear
+payoff.dim = 2
+payoff.A = [1.0, 0.0, 0.0, 1.0]
+payoff.B = [1.0, 0.0, 0.0, 1.0]
+payoff.C = [0.5, 0.0, 0.0, 0.5]
+tau = {tau}
+seed = 8
+checkpoint_every = 1
+algorithm.eta = 0.01
+algorithm.n_particles = {n}
+algorithm.steps = 40
+init.mean_mode = zero
+init.cov_scale = 0.01
+"""
+
+
+class TestDegenerateFitsAreNotScored:
+    # A degenerate fit has no KL or W2 cell, so an overflow in its KL or W2
+    # against a reference at huge tau must not end the run or name its step.
+    @pytest.mark.parametrize("n, tau, code, error", [
+        (2, "1e200", 0, ""),
+        (3, "8e154", 3, "divergence: step 4: checkpoint statistics overflowed"),
+    ], ids=["n2-runs", "n3-step4"])
+    def test_kl_and_w2_skip_degenerate_rows(self, tmp_path, capsys, n, tau, code, error):
+        cfg = tmp_path / "degenerate.cfg"
+        cfg.write_text(DEGENERATE_FITS.format(n=n, tau=tau))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--output-dir", str(out)]) == code
+        assert error in capsys.readouterr().err
+        if code == 0:
+            header, *rows = (out / "metrics.csv").read_text().splitlines()
+            columns = header.split(",")
+            kl, w2 = columns.index("kl_fit_to_eq"), columns.index("w2_fit_to_eq_sq")
+            assert len(rows) == 41
+            assert all(row.split(",")[kl] == row.split(",")[w2] == "" for row in rows)
 
 
 class TestRankDeficientFitAtScale:
