@@ -267,7 +267,7 @@ def check_second_moment_stability(seed: int = 0):
 def check_rng_consistency(seed: int = 123):
     """Split blocks match one block; each row of an x/y block pair is the
     pair of variates of its own words, and a smaller particle block is a
-    prefix of a larger one, whichever address the pair cache holds."""
+    prefix of a larger one, whichever rows the last slab holds."""
     s1 = create_stream(seed, 42)
     whole = standard_normal_block(s1, 8)
     s2 = create_stream(seed, 42)

@@ -260,7 +260,7 @@ def run_algorithm(
         raise ValueError(
             f"init has {init.n_particles} particles, params say {params.n_particles}"
         )
-    noise = KeyedNoise(seed)
+    noise = KeyedNoise(seed, horizon=init.step + params.steps)
     record = (lambda k, s: s) if on_checkpoint is None else on_checkpoint
     state = init
     checkpoints = [(0, record(0, state))]

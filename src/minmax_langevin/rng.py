@@ -38,10 +38,13 @@ at counter ``(j // 4 + 1, counter1, 0, 0)`` under key ``(seed, key1)``; the
    ``pi / 2``, so every variate is finite and nonzero, with
    ``|z| <= sqrt(66 ln 2) = 6.7637...``, a bound both halves reach.
 
-``KeyedNoise.block`` is called once per role: the first call of a pair
-computes both halves from one read of the words and keeps the partner's
-block for the partner's exact address, which the next call returns without
-drawing.  A cached block equals what a fresh draw computes.
+``KeyedNoise.block`` is called once per role and step.  A miss draws a slab:
+the words of the pair's steps ``k .. k+K-1`` (one ``_philox_words`` call
+each), one Box-Muller pass over them all, and both roles' rows, each served
+once at its address.  ``K`` is 1 without a horizon; with one, a slab stops
+at the horizon and at ``_SLAB_WORDS`` words.  A row has one-step bits, as
+numpy's ``log``, ``sqrt``, ``cos`` and ``sin`` give each element the same
+bits at any array length and offset.
 
 Every draw runs on one module-level generator: ``_philox_words`` sets its
 key, counter and empty output buffer, then reads the words, all while
@@ -202,6 +205,8 @@ def standard_normal_block(stream: NoiseStream, n: int) -> np.ndarray:
 # Each particle-noise role's pair: the first role draws the cosine variates,
 # the second the sine variates of the same words.
 _PAIR_OF = {role: pair for pair in (("x", "y"), ("init-x", "init-y")) for role in pair}
+# The most words one slab draws, unless one step alone needs more.
+_SLAB_WORDS = 2**12
 
 
 class KeyedNoise:
@@ -211,29 +216,33 @@ class KeyedNoise:
     ``i`` is the role's variates of words ``i*dim .. i*dim + dim - 1`` of the
     sequence ``(seed, pair code, step)``: a prefix of the block for any larger
     ``n``, and addressable alone through ``_philox_words`` at start ``i*dim``.
+    A run that reads steps ``k < horizon`` in order passes its ``horizon`` so
+    that one draw serves a slab of steps; the bits do not depend on it.
     """
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, horizon: int | None = None):
         if not (0 <= seed < 2**64):
             raise ValueError("seed must be an unsigned 64-bit integer")
         self.seed = int(seed)
-        # The last pair's other block, keyed by its address (role, n, step,
-        # dim).  A hit is popped (dict.pop is atomic), so a cached block is
-        # returned once even when threads share this object.
-        self._partner = {}
+        self.horizon = horizon
+        # The last slab's unserved rows, keyed by address (role, n, step,
+        # dim).  A hit is popped (dict.pop is atomic), so a row is returned
+        # once even when threads share this object.
+        self._slab = {}
 
     def block(self, role: str, n: int, step: int, dim: int) -> np.ndarray:
         require("nonnegative", step=step)
-        cached = self._partner.pop((role, n, step, dim), None)
-        if cached is not None:
-            return cached
+        served = self._slab.pop((role, n, step, dim), None)
+        if served is not None:
+            return served
         if role not in _PAIR_OF:
             raise ValueError(f"unknown noise role {role!r}; roles are {sorted(_PAIR_OF)}")
-        first, second = _PAIR_OF[role]
-        words = _philox_words(self.seed, _role_code(first), step, 0, n * dim)
-        z_cos, z_sin = (z.reshape(n, dim) for z in _words_to_pairs(words))
-        if role == first:
-            self._partner = {(second, n, step, dim): z_sin}
-            return z_cos
-        self._partner = {(first, n, step, dim): z_cos}
-        return z_sin
+        pair, code = _PAIR_OF[role], _role_code(_PAIR_OF[role][0])
+        k = 1 if self.horizon is None else max(
+            1, min(int(self.horizon - step), _SLAB_WORDS // max(n * dim, 1)))
+        words = np.concatenate([_philox_words(self.seed, code, step + j, 0, n * dim)
+                                for j in range(k)])
+        slab = {(r, n, step + j, dim): row for r, z in zip(pair, _words_to_pairs(words))
+                for j, row in enumerate(z.reshape(k, n, dim))}
+        served, self._slab = slab.pop((role, n, step, dim)), slab
+        return served

@@ -23,6 +23,7 @@ from minmax_langevin import (
     solve_equilibrium,
     step_algorithm,
 )
+from minmax_langevin import dynamics, rng
 from minmax_langevin.checks import (
     check_second_moment_stability,
     default_specs,
@@ -303,6 +304,101 @@ class TestRun:
             small = noise_a.block("x", 3, step, 2)
             large = noise_b.block("x", 11, step, 2)
             np.testing.assert_array_equal(small, large[:3])
+
+
+class DrawLog:
+    """Records the noise slabs drawn while it is installed: the ``(step,
+    word count)`` of each ``rng._philox_words`` call, grouped by the one
+    ``rng._words_to_pairs`` pass that closes its slab."""
+
+    def __init__(self, monkeypatch):
+        self.slabs, self.pending = [], []
+        words, pairs = rng._philox_words, rng._words_to_pairs
+
+        def philox_words(seed, key1, counter1, start, count):
+            self.pending.append((counter1, count))
+            return words(seed, key1, counter1, start, count)
+
+        def words_to_pairs(drawn):
+            self.slabs.append(self.pending)
+            self.pending = []
+            return pairs(drawn)
+
+        monkeypatch.setattr(rng, "_philox_words", philox_words)
+        monkeypatch.setattr(rng, "_words_to_pairs", words_to_pairs)
+
+    @property
+    def steps(self):
+        return [step for slab in self.slabs for step, _ in slab]
+
+
+class TestNoiseDraws:
+    """``run_algorithm`` draws each step of its span once, in slabs that stop
+    at its horizon ``init.step + steps`` and at ``rng._SLAB_WORDS`` words."""
+
+    @staticmethod
+    def run(monkeypatch, n, d, steps, start=0, tau=1.0):
+        spec = default_specs(dim=d)[0]
+        init = ParticleState(xs=np.zeros((n, d)), ys=np.zeros((n, d)), step=start)
+        params = AlgorithmParams(eta=spec.constants().eta_strict, tau=tau,
+                                 n_particles=n, steps=steps)
+        log = DrawLog(monkeypatch)
+        run_algorithm(spec, init, params, seed=5, checkpoint_every=max(steps, 1))
+        return log
+
+    @pytest.mark.parametrize("n, d, steps, start", [
+        (16, 1, 600, 0), (64, 2, 70, 0), (5, 7, 300, 1000), (3, 2, 1, 9), (33, 1, 124, 7),
+    ])
+    def test_each_step_of_the_span_is_drawn_once(self, monkeypatch, n, d, steps, start):
+        log = self.run(monkeypatch, n, d, steps, start)
+        assert log.pending == []
+        assert sorted(log.steps) == list(range(start, start + steps))
+        assert max(log.steps) < start + steps  # nothing at or past the horizon
+        assert max(sum(count for _, count in slab) for slab in log.slabs) <= rng._SLAB_WORDS
+        per_slab = rng._SLAB_WORDS // (n * d)
+        assert len(log.slabs) == -(-steps // per_slab)
+
+    def test_zero_temperature_draws_nothing(self, monkeypatch):
+        log = self.run(monkeypatch, 16, 1, 50, tau=0.0)
+        assert log.slabs == [] and log.pending == []
+
+    def test_a_step_of_a_whole_slab_is_drawn_alone(self, monkeypatch):
+        log = self.run(monkeypatch, 512, 8, 3)
+        assert log.slabs == [[(0, 4096)], [(1, 4096)], [(2, 4096)]]
+
+    START, STEPS = 40, 150
+
+    def resumed_run_faults(self, monkeypatch, tmp_path):
+        """How a run resumed at step ``START`` from a snapshot differs from
+        stepping ``step_algorithm`` by hand with a horizon-less noise."""
+        spec = default_specs(dim=2)[1]
+        draws = np.random.default_rng(3).normal(size=(2, 16, 2))
+        save_snapshot(tmp_path / "snap.csv",
+                      ParticleState(xs=draws[0], ys=draws[1], step=self.START))
+        init = load_snapshot(tmp_path / "snap.csv")
+        params = AlgorithmParams(eta=0.01, tau=0.8, n_particles=16, steps=self.STEPS)
+        log = DrawLog(monkeypatch)
+        _, final = run_algorithm(spec, init, params, seed=9, checkpoint_every=50)
+        slabs = len(log.slabs)
+        state, noise = init, KeyedNoise(9)
+        for _ in range(self.STEPS):
+            state = step_algorithm(spec, state, params, noise)
+        faults = []
+        if final.step != state.step or (final.xs.tobytes(), final.ys.tobytes()) != (
+                state.xs.tobytes(), state.ys.tobytes()):
+            faults.append("final state")
+        # 32 words a step: slabs of 128 steps cover the 150 steps in two passes.
+        if slabs != 2:
+            faults.append(f"{slabs} slabs")
+        return faults
+
+    def test_a_resumed_run_equals_stepping_by_hand(self, monkeypatch, tmp_path):
+        assert self.resumed_run_faults(monkeypatch, tmp_path) == []
+
+    def test_a_horizon_that_ignores_the_start_step_fails_it(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(dynamics, "KeyedNoise", lambda seed, horizon: KeyedNoise(
+            seed, horizon=horizon - self.START))
+        assert self.resumed_run_faults(monkeypatch, tmp_path) == ["41 slabs"]
 
 
 class PermutedNoise:

@@ -1,3 +1,4 @@
+import functools
 import json
 import sys
 import threading
@@ -17,8 +18,10 @@ from minmax_langevin import (
     run_experiment,
     standard_normal_block,
 )
+from minmax_langevin import rng
 from minmax_langevin.rng import (_philox_words, _role_code, _words_to_normals,
                                   _words_to_pairs)
+from test_mutants import noise_read_one_step_late
 
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
@@ -543,6 +546,101 @@ class TestPartnerCache:
     def test_rejects_unknown_role(self):
         with pytest.raises(ValueError, match="unknown noise role 'z'"):
             KeyedNoise(1).block("z", 2, 0, 1)
+
+
+class TestSlabCache(TestPartnerCache):
+    """``TestPartnerCache``'s cases again with a horizon, so that a miss
+    draws a slab of many steps and later calls are served from it."""
+
+    HORIZON = 64
+
+    @pytest.fixture(autouse=True)
+    def noise_with_a_horizon(self, monkeypatch):
+        monkeypatch.setattr(sys.modules[__name__], "KeyedNoise",
+                            functools.partial(rng.KeyedNoise, horizon=self.HORIZON))
+
+    def fresh(self, role, n, step, dim):
+        return rng.KeyedNoise(self.SEED).block(role, n, step, dim).tobytes()
+
+    def test_a_served_row_does_not_alias_the_rest_of_its_slab(self):
+        noise = KeyedNoise(self.SEED)
+        first = noise.block("y", 3, 1, 2)
+        first += 100.0
+        for step in range(2, 5):
+            for role in ("x", "y"):
+                assert noise.block(role, 3, step, 2).tobytes() == self.fresh(role, 3, step, 2)
+
+
+class TestSlabBits:
+    """Rows served from a slab have the bytes of one-step draws.
+
+    One Box-Muller pass over a slab computes each step's words at another
+    array length and offset than a one-step draw does.  This pins that
+    numpy's ``log``, ``sqrt``, ``cos`` and ``sin`` give each element the
+    same bits either way, SIMD tails included.  A failure here is a declared
+    noise change, and the manifest's ``versions.numpy_simd`` names the
+    dispatch target it was seen on.
+    """
+
+    # (n, dim, seed): odd lengths, a 16-word step and steps of 4094 to 4096
+    # words, which fill a slab alone.
+    CASES = [(1, 1, 0), (3, 5, 7), (7, 3, 2**63 + 9), (16, 1, 2**64 - 1),
+             (64, 2, 0), (512, 1, 7), (512, 8, 2**63 + 9), (5, 7, 2**64 - 1),
+             (33, 1, 0), (1, 4096, 7), (2, 2047, 2**63 + 9)]
+
+    @pytest.mark.parametrize("start", [0, 7, 1000])
+    @pytest.mark.parametrize("n, dim, seed", CASES, ids=[f"{n}x{d}" for n, d, _ in CASES])
+    def test_slab_rows_equal_one_step_blocks(self, n, dim, seed, start):
+        per_slab = max(rng._SLAB_WORDS // (n * dim), 1)
+        # One whole slab, then one that the horizon cuts short.
+        horizon = start + per_slab + max(per_slab // 3, 1)
+        slab, one_step = KeyedNoise(seed, horizon=horizon), KeyedNoise(seed)
+        for step in range(start, horizon):
+            for role in ("x", "y"):
+                assert (slab.block(role, n, step, dim).tobytes()
+                        == one_step.block(role, n, step, dim).tobytes()), (role, step)
+
+    def test_an_integral_float_step_reads_its_integer_address(self):
+        for horizon in (None, 10.0):
+            block = KeyedNoise(5, horizon=horizon).block("y", 3, 4.0, 2)
+            assert block.tobytes() == KeyedNoise(5).block("y", 3, 4, 2).tobytes()
+
+
+def consecutive_x_blocks(seed, n, dim, steps):
+    """Each step's x block, drawn as a run draws them: x then y at every
+    step of a ``KeyedNoise`` whose horizon is the run's length."""
+    noise = KeyedNoise(seed, horizon=steps)
+    blocks = []
+    for step in range(steps):
+        blocks.append(noise.block("x", n, step, dim).ravel())
+        noise.block("y", n, step, dim)
+    return blocks
+
+
+def dependent_steps(blocks):
+    """Steps ``k >= 1`` whose x block equals step ``k - 1``'s or correlates
+    with it beyond ``5 / sqrt(m)`` for blocks of ``m`` variates.  For
+    independent blocks the sample correlation is about N(0, 1/m), so one
+    pair passes the bound with probability ``1 - 6e-7``."""
+    bound = 5.0 / np.sqrt(blocks[0].size)
+    return [k for k in range(1, len(blocks))
+            if np.array_equal(blocks[k - 1], blocks[k])
+            or abs(np.corrcoef(blocks[k - 1], blocks[k])[0, 1]) >= bound]
+
+
+class TestStepIndependence:
+    """Noise of consecutive steps is independent, across slab boundaries."""
+
+    N, DIM, STEPS = 64, 2, 100  # couple's cloud; 32 steps per slab
+
+    def test_consecutive_x_blocks_are_distinct_and_uncorrelated(self):
+        assert rng._SLAB_WORDS // (self.N * self.DIM) < self.STEPS
+        for seed in (0, 8, 2**64 - 1):
+            assert dependent_steps(consecutive_x_blocks(seed, self.N, self.DIM, self.STEPS)) == []
+
+    def test_noise_read_one_step_late_fails_it(self, monkeypatch):
+        monkeypatch.setattr(rng.KeyedNoise, "block", noise_read_one_step_late)
+        assert dependent_steps(consecutive_x_blocks(8, self.N, self.DIM, self.STEPS)) == [1]
 
 
 class TestGoodnessOfFit:
