@@ -5,16 +5,16 @@ streams named by the suite's tag, so a given seed always probes the same
 points: a one-shot draw is the first normals of its stream (:func:`_normals`);
 the three pair inequalities of the drift b_Z (strong monotonicity, 2L
 Lipschitz, contraction of z + eta b_Z(z)) share one chunked sweep,
-:func:`_worst_over_pairs`, and supply only their per-pair statistic; the
-Talagrand/log-Sobolev and W2-triangle suites build each law stack once, from
-drawn moments, and call each law function once.  One builder, :func:`_result`,
-names every result, ``title[<payoff class>]`` when a payoff is probed.  Every
-bound carries a small float slack since several inequalities are tight (e.g.
-monotonicity of a decoupled isotropic quadratic binds with equality).
+:func:`_worst_over_pairs`; the functional and W2-triangle suites build each
+law stack once and call each law function once; the second-moment run keeps
+its states and scores them in one stacked pass.  :func:`_result` names every
+result, ``title[<payoff class>]`` when a payoff is probed.  Every bound has a
+small float slack since several inequalities are tight (e.g. monotonicity of
+a decoupled isotropic quadratic binds with equality).
 
-Every suite reduces its per-sample statistics with ``np.max``/``np.min``,
-which propagate NaN, so a NaN sample fails its bound instead of being
-skipped; a suite asked for fewer than one sample raises ``ValueError``.
+A NaN sample fails its bound instead of being skipped (``np.max``/``np.min``
+propagate NaN; the GD audit tests ``not distance <= envelope``); a suite
+asked for fewer than one sample raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -239,8 +239,16 @@ def check_w2_triangle(seed: int = 0, triples: int = 100, dim: int = 3):
                    f"max violation {worst:.3e} over {triples} triples")
 
 
+def _squared_distances(states: ParticleState, z_pair: np.ndarray) -> np.ndarray:
+    """|z_k - z*|^2 per system k of a stack, z* as ``z_pair`` (2, 1, d): one
+    row of 2Nd entries each, so each value has its own system's np.sum bits."""
+    dz = np.stack([states.xs, states.ys], axis=-3) - z_pair
+    return np.add.reduce((dz**2).reshape(len(dz), -1), axis=1)
+
+
 def check_second_moment_stability(seed: int = 0):
-    """Long-run mean of |z_k - z*|^2 obeys the noise-floor recursion bound."""
+    """Long-run mean of |z_k - z*|^2 obeys the noise-floor recursion bound;
+    the run's states are kept (no copy) and scored in one stacked pass."""
     from .dynamics import AlgorithmParams, run_algorithm
 
     quad, _ = default_specs(dim=1)
@@ -252,12 +260,10 @@ def check_second_moment_stability(seed: int = 0):
     z_pair = np.stack([z_star.x, z_star.y])[:, None]  # (2, 1, d): x row, y row
     xs, ys = z_pair + _normals(seed, "moment-init", 2, n, d)
     checkpoints, _ = run_algorithm(
-        quad, ParticleState(xs=xs, ys=ys), params, seed=seed, checkpoint_every=1,
-        on_checkpoint=lambda k, s: float(np.sum((np.stack([s.xs, s.ys]) - z_pair) ** 2)),
-    )
-    sq = [v for _, v in checkpoints]
+        quad, ParticleState(xs=xs, ys=ys), params, seed=seed, checkpoint_every=1)
+    sq = _squared_distances(ParticleState.stacked(*(s for _, s in checkpoints)), z_pair)
     m = contraction_factor(c.alpha, c.smooth_L, eta)
-    bound = 2.0 * sq[0] + 8.0 * tau * eta * d * n / (1.0 - m**2)
+    bound = 2.0 * float(sq[0]) + 8.0 * tau * eta * d * n / (1.0 - m**2)
     running_mean = float(np.mean(sq))
     return _result("second_moment_stability", None,
                    running_mean <= bound * 1.25,  # Monte-Carlo slack

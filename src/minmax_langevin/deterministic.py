@@ -82,9 +82,12 @@ def gd_step(spec: PayoffSpec, z: JointPoint, eta_gd: float) -> JointPoint:
             "does not apply",
             stacklevel=2,
         )
-    gx = spec.grad_x(z.x, z.y)
-    gy = spec.grad_y(z.x, z.y)
-    return JointPoint(x=z.x - eta_gd * gx, y=z.y + eta_gd * gy)
+    return JointPoint(*_gd_update(spec, z.x, z.y, eta_gd))
+
+
+def _gd_update(spec: PayoffSpec, x: np.ndarray, y: np.ndarray, eta_gd: float):
+    """The descent-ascent update on plain arrays, unchecked: ``gd_step``'s body."""
+    return x - eta_gd * spec.grad_x(x, y), y + eta_gd * spec.grad_y(x, y)
 
 
 def _solve_quadratic(spec: QuadraticBilinear) -> JointPoint:
@@ -159,25 +162,26 @@ def gd_rate_audit(
 
     Returns ``(k, distance_sq, envelope)`` triples for k = 0..steps and raises
     :class:`EnvelopeViolation` if any distance exceeds its envelope by more
-    than 1e-9 relative slack, which would indicate a constants or update bug.
+    than 1e-9 relative slack, or is NaN, which would indicate a constants or
+    update bug.  Arguments are checked once; each step is ``gd_step``'s update.
     """
     require("nonnegative", eta_gd=eta_gd, steps=steps)
     c = spec.constants()
     if not eta_gd <= c.eta_gd:
         raise ValueError("rate audit requires eta_gd <= alpha / (4 L^2)")
-    z_star, _ = solve_equilibrium(spec)
-    d0 = float(np.sum((z0.vector - z_star.vector) ** 2))
-    records = []
-    z = z0
+    star = solve_equilibrium(spec)[0].vector
+    x, y, records = z0.x, z0.y, []
     for k in range(steps + 1):
-        dist_sq = float(np.sum((z.vector - z_star.vector) ** 2))
+        dz = np.concatenate([x, y], axis=-1) - star
+        dist_sq = float(np.add.reduce(dz * dz, axis=None))  # np.sum's bits
+        d0 = dist_sq if k == 0 else d0
         envelope = np.exp(-c.alpha * eta_gd * k) * d0
         records.append((k, dist_sq, envelope))
-        if dist_sq > envelope * (1.0 + 1e-9):
+        if not dist_sq <= envelope * (1.0 + 1e-9):
             raise EnvelopeViolation(
                 f"step {k}: distance^2 {dist_sq:.6e} exceeds envelope "
                 f"{envelope:.6e}"
             )
         if k < steps:
-            z = gd_step(spec, z, eta_gd)
+            x, y = _gd_update(spec, x, y, eta_gd)
     return records

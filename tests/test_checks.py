@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from minmax_langevin import QuadraticBilinear, check_gradient_fd, checks
+from minmax_langevin import (ParticleState, QuadraticBilinear, check_gradient_fd, checks,
+                             dynamics)
 
 QUAD, PERT = checks.default_specs()
 
@@ -82,3 +83,60 @@ def test_each_suite_makes_one_call_per_law_function(monkeypatch):
 def test_fewer_than_one_sample_is_rejected(call, name, count):
     with pytest.raises(ValueError, match=f"{name} must be at least 1"):
         call(count)
+
+
+def test_nan_gradient_fails_the_gd_envelope(nan_grad_y):
+    # A NaN iterate fails the audit's comparison and names its step, so the
+    # suite reports FAIL instead of raising out of `check`.
+    result = checks.check_gd_envelope(QUAD, seed=8)
+    assert not result.passed
+    assert result.detail == "step 1: distance^2 nan exceeds envelope 5.648695e+00"
+    assert "nan" in checks.check_gd_envelope(QUAD).detail
+
+
+class TestSecondMomentBits:
+    """The stacked pass scores each state with the bits of a per-step ``np.sum``.
+
+    ``check`` prints the running mean to 3 decimals, so its golden stdout pin
+    cannot see a last-bit change in the squared distances; these tests can.
+    """
+
+    @staticmethod
+    def one_state(xs, ys, z_pair):
+        # The per-step statistic the run once recorded through on_checkpoint.
+        return float(np.sum((np.stack([xs, ys]) - z_pair) ** 2))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stacked_pass_equals_the_per_step_callback(self, monkeypatch, seed):
+        run, score = dynamics.run_algorithm, checks._squared_distances
+        seen = {}
+
+        def capturing_run(*args, **kwargs):
+            seen["args"], seen["kwargs"] = args, kwargs
+            return run(*args, **kwargs)
+
+        def capturing_score(states, z_pair):
+            seen["z_pair"], seen["stacked"] = z_pair, score(states, z_pair)
+            return seen["stacked"]
+
+        monkeypatch.setattr(dynamics, "run_algorithm", capturing_run)
+        monkeypatch.setattr(checks, "_squared_distances", capturing_score)
+        assert checks.check_second_moment_stability(seed=seed).passed
+        # The same run again, scored step by step as the suite once did.
+        checkpoints, _ = run(
+            *seen["args"], **seen["kwargs"],
+            on_checkpoint=lambda k, s: self.one_state(s.xs, s.ys, seen["z_pair"]),
+        )
+        reference = np.array([v for _, v in checkpoints])
+        assert reference.shape == (2001,)
+        assert seen["stacked"].tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 16, 512])
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_a_stacked_row_sums_as_it_does_alone(self, n, d):
+        rng = np.random.default_rng(1000 * n + d)
+        xs, ys = rng.normal(size=(2, 5, n, d))
+        z_pair = rng.normal(size=(2, 1, d))
+        stacked = checks._squared_distances(ParticleState(xs=xs, ys=ys), z_pair)
+        alone = [self.one_state(x, y, z_pair) for x, y in zip(xs, ys)]
+        assert stacked.tobytes() == np.array(alone).tobytes()

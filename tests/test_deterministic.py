@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from minmax_langevin import (
+    EnvelopeViolation,
     JointPoint,
     QuadraticBilinear,
     duality_gap_bound,
@@ -9,8 +10,10 @@ from minmax_langevin import (
     gd_step,
     solve_equilibrium,
 )
-from minmax_langevin.checks import default_specs
+from minmax_langevin.checks import check_gd_envelope, default_specs
 from minmax_langevin.deterministic import grad_norm
+from minmax_langevin.payoff import Constants
+from test_dynamics import dense_specs
 
 
 def scalar_quadratic(c=1.0, u=0.0, v=0.0):
@@ -156,3 +159,61 @@ class TestRateAudit:
             z = gd_step(spec, z, eta)
             bound = np.exp(-c.alpha * eta * k) * g0_sq
             assert grad_norm(spec, z) ** 2 <= bound * (1 + 1e-9)
+
+
+class Overclaimed(QuadraticBilinear):
+    """A quadratic whose constants() claims alpha = L: a rate it cannot keep."""
+
+    def constants(self):
+        smooth_l = super().constants().smooth_L
+        return Constants(alpha=smooth_l, smooth_L=smooth_l)
+
+
+class TestAuditViolation:
+    SPEC = Overclaimed(dim=2, A=np.diag([1.0, 4.0]), B=np.diag([1.0, 4.0]),
+                       C=np.zeros((2, 2)))
+
+    def test_an_overclaimed_rate_raises_at_its_step(self):
+        # alpha = L = 4 gives eta_gd = 1/16 and an envelope factor e^(-1/4)
+        # a step, but the first coordinates contract by only (15/16)^2.
+        z0 = JointPoint(x=[1.0, 1.0], y=[1.0, -1.0])
+        with pytest.raises(EnvelopeViolation, match=(
+                r"^step 5: distance\^2 1\.161548e\+00 exceeds envelope 1\.146019e\+00$")):
+            gd_rate_audit(self.SPEC, z0, self.SPEC.constants().eta_gd, 50)
+
+    def test_the_envelope_suite_fails(self):
+        result = check_gd_envelope(self.SPEC)
+        assert result.name == "gd_rate_envelope[Overclaimed]"
+        assert not result.passed
+        assert "exceeds envelope" in result.detail
+
+
+def reference_audit(spec, z0, eta, steps):
+    """The rate audit as a loop over the public gd_step, each step checked
+    against the update written out here."""
+    c = spec.constants()
+    z_star, _ = solve_equilibrium(spec)
+    z, records = z0, []
+    d0 = float(np.sum((z0.vector - z_star.vector) ** 2))
+    for k in range(steps + 1):
+        dist_sq = float(np.sum((z.vector - z_star.vector) ** 2))
+        records.append((k, dist_sq, np.exp(-c.alpha * eta * k) * d0))
+        if k < steps:
+            nxt = gd_step(spec, z, eta)
+            assert nxt.x.tobytes() == (z.x - eta * spec.grad_x(z.x, z.y)).tobytes()
+            assert nxt.y.tobytes() == (z.y + eta * spec.grad_y(z.x, z.y)).tobytes()
+            z = nxt
+    return records
+
+
+@pytest.mark.parametrize("family", [0, 1], ids=["quadratic", "perturbed"])
+@pytest.mark.parametrize("specs", [default_specs(2), dense_specs(3)], ids=["default", "dense"])
+def test_the_audit_trajectory_is_gd_steps(specs, family):
+    spec = specs[family]
+    rng = np.random.default_rng(11)
+    z0 = JointPoint(x=rng.normal(size=spec.dim), y=rng.normal(size=spec.dim))
+    eta = spec.constants().eta_gd
+    audit = gd_rate_audit(spec, z0, eta, 500)
+    reference = reference_audit(spec, z0, eta, 500)
+    assert len(audit) == 501
+    assert np.array(audit).tobytes() == np.array(reference).tobytes()
