@@ -117,29 +117,24 @@ def solve_equilibrium(
     relative to the linear terms, whose size the rounding residual of any
     solve grows with.  Quadratic payoffs are solved directly (0 iterations);
     the perturbed family runs gradient descent-ascent at eta = alpha / (4 L^2)
-    from the base-quadratic solution.
+    from the base-quadratic solution.  A residual still above ``tol`` after
+    the last step, or not finite (NaN) at any step, raises ``RuntimeError``.
     """
     require("positive", tol=tol)
     require("nonnegative", max_iters=max_iters)
     base = spec if isinstance(spec, QuadraticBilinear) else spec.base
     scale = max(1.0, math.hypot(*base.u, *base.v))
     z = _solve_quadratic(base)
-    if base is spec:
-        if grad_norm(spec, z, scale) > tol:
-            raise RuntimeError(
-                "direct linear solve failed to reach the requested residual; "
-                "the system should be invertible under the payoff invariants"
-            )
-        return z, 0
+    iters = 0 if base is spec else max_iters
     eta = spec.constants().eta_gd
-    for k in range(max_iters):
-        if grad_norm(spec, z, scale) <= tol:
+    for k in range(iters + 1):
+        norm = grad_norm(spec, z, scale)
+        if norm <= tol:
             return z, k
-        z = gd_step(spec, z, eta)
-    if grad_norm(spec, z, scale) <= tol:
-        return z, max_iters
-    raise RuntimeError(f"equilibrium solve did not reach tol={tol} "
-                       f"within {max_iters} iterations")
+        if k == iters or not math.isfinite(norm):
+            raise RuntimeError(f"equilibrium solve stopped at residual {norm:.3e} "
+                               f"> tol={tol} after {k} steps")
+        z = JointPoint(*_gd_update(spec, z.x, z.y, eta))
 
 
 def duality_gap_bound(spec: PayoffSpec, z: JointPoint):

@@ -1,17 +1,18 @@
-"""The property suites fail on NaN samples and refuse empty sample counts.
+"""The property suites fail on NaN samples, and every suite ends in a verdict.
 
 A suite that folded its samples with Python ``max``/``min`` would skip a NaN
 and report PASS; these tests pin the numpy reduction that makes it FAIL.
 """
 
 import collections
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from minmax_langevin import (ParticleState, QuadraticBilinear, check_gradient_fd, checks,
-                             dynamics)
+                             cli, dynamics, solve_equilibrium)
 
 QUAD, PERT = checks.default_specs()
 
@@ -22,6 +23,18 @@ def nan_grad_y(monkeypatch):
 
     def grad_y(self, x, y):
         return np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), np.nan)
+
+    monkeypatch.setattr(QuadraticBilinear, "grad_y", grad_y)
+
+
+@pytest.fixture
+def nan_grad_y_off_origin(monkeypatch):
+    """grad_y NaN wherever x or y is nonzero: z* = 0 of QUAD still solves."""
+    exact = QuadraticBilinear.grad_y
+
+    def grad_y(self, x, y):
+        off = np.any((np.asarray(x) != 0) | (np.asarray(y) != 0), axis=-1, keepdims=True)
+        return np.where(off, np.nan, exact(self, x, y))
 
     monkeypatch.setattr(QuadraticBilinear, "grad_y", grad_y)
 
@@ -76,22 +89,68 @@ def test_each_suite_makes_one_call_per_law_function(monkeypatch):
 @pytest.mark.parametrize("count", [0, -5])
 @pytest.mark.parametrize("call, name", [
     (lambda n: checks.check_gradients(QUAD, tol=1e-8, points=n), "points"),
-    (lambda n: checks.check_monotonicity(QUAD, pairs=n), "pairs"),
-    (lambda n: checks.check_functional_inequalities(pairs=n), "pairs"),
-    (lambda n: checks.check_w2_triangle(triples=n), "triples"),
-], ids=["gradients", "pair-sweep", "functional", "triangle"])
+], ids=["gradients"])
 def test_fewer_than_one_sample_is_rejected(call, name, count):
     with pytest.raises(ValueError, match=f"{name} must be at least 1"):
         call(count)
 
 
-def test_nan_gradient_fails_the_gd_envelope(nan_grad_y):
+def test_nan_gradient_fails_the_gd_envelope(nan_grad_y_off_origin):
     # A NaN iterate fails the audit's comparison and names its step, so the
     # suite reports FAIL instead of raising out of `check`.
     result = checks.check_gd_envelope(QUAD, seed=8)
     assert not result.passed
     assert result.detail == "step 1: distance^2 nan exceeds envelope 5.648695e+00"
     assert "nan" in checks.check_gd_envelope(QUAD).detail
+
+
+def test_a_diverged_run_fails_the_second_moment_suite(nan_grad_y_off_origin):
+    # z* = 0 solves, and the run's first drift away from it is NaN.
+    result = checks.check_second_moment_stability(seed=8)
+    assert not result.passed
+    assert result.detail == "step 0: drift is nonfinite"
+
+
+def test_a_nan_residual_fails_the_quadratic_solve(nan_grad_y):
+    with pytest.raises(RuntimeError, match="nan"):
+        solve_equilibrium(QUAD)
+
+
+@pytest.mark.parametrize("suite, tol", [
+    (lambda: checks.check_equilibrium_drift(QUAD), "1e-12"),
+    (lambda: checks.check_equilibrium_drift(PERT), "1e-12"),
+    (lambda: checks.check_gd_envelope(QUAD, seed=8), "1e-10"),
+    (lambda: checks.check_gd_envelope(PERT, seed=8), "1e-10"),
+    (lambda: checks.check_functional_inequalities(seed=8), "1e-10"),
+    (lambda: checks.check_second_moment_stability(seed=8), "1e-10"),
+], ids=["equilibrium-quadratic", "equilibrium-perturbed", "gd-quadratic",
+        "gd-perturbed", "functional", "second-moment"])
+def test_a_failed_solve_of_z_star_is_the_suites_fail_detail(nan_grad_y, suite, tol):
+    # The solve's RuntimeError text is the verdict; no suite raises it.
+    result = suite()
+    assert not result.passed
+    assert result.detail == (f"equilibrium solve stopped at residual nan > tol={tol} "
+                             "after 0 steps")
+
+
+def test_the_seed_is_each_suites_only_option():
+    # Only the gradcheck suites keep a sample count, which `gradcheck` sets.
+    suites = [fn for name, fn in vars(checks).items() if name.startswith("check_")
+              and fn.__module__ == checks.__name__ and name != "check_gradients"]
+    assert len(suites) == 10
+    for suite in suites:
+        assert set(inspect.signature(suite).parameters) <= {"spec", "seed"}, suite
+
+
+def test_every_suite_ends_in_a_verdict_under_a_nan_gradient(nan_grad_y, capsys):
+    # A failed solve of z* and a diverged run are FAIL lines, not a crash.
+    assert cli.main(["check", "--seed", "8"]) == cli.EXIT_PROPERTY == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 18
+    passed = [line for line in lines if line.startswith("[PASS] ")]
+    assert [line.split(":")[0] for line in passed] == [
+        "[PASS] gaussian_w2_triangle", "[PASS] rng_stream_consistency"]
+    assert sum(line.startswith("[FAIL] ") for line in lines) == 16
 
 
 class TestSecondMomentBits:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,18 @@ class TestSolveEquilibrium:
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ValueError):
             solve_equilibrium(scalar_quadratic(), tol=0.0)
+
+    def test_the_descent_solve_is_gd_steps(self):
+        # The perturbed solve written out as a loop over the public gd_step,
+        # from the base solution, to the default tolerance on the same scale.
+        _, pert = dense_specs(3)
+        z, iters = solve_equilibrium(pert)
+        ref, k = solve_equilibrium(pert.base)[0], 0
+        scale = max(1.0, math.hypot(*pert.base.u, *pert.base.v))
+        while not grad_norm(pert, ref, scale) <= 1e-10:
+            ref, k = gd_step(pert, ref, pert.constants().eta_gd), k + 1
+        assert k == iters > 0
+        assert z.x.tobytes() == ref.x.tobytes() and z.y.tobytes() == ref.y.tobytes()
 
 
 class TestDualityGapBound:

@@ -123,7 +123,7 @@ class TestGaussianW2:
         assert gaussian_w2(p, q) == pytest.approx(gaussian_w2(q, p), rel=1e-10)
 
     def test_triangle_inequality_probe(self):
-        result = check_w2_triangle(seed=0, triples=100)
+        result = check_w2_triangle(seed=0)
         assert result.passed, result.detail
 
 
@@ -227,5 +227,5 @@ class TestEmpiricalW2:
 
 
 def test_talagrand_and_log_sobolev_probe():
-    result = check_functional_inequalities(seed=0, pairs=200)
+    result = check_functional_inequalities(seed=0)
     assert result.passed, result.detail

@@ -20,17 +20,18 @@ def _load_tracer():
     return module
 
 
-def test_lipschitz_sweep_crosses_a_chunk_boundary_under_the_tracer():
+def test_lipschitz_sweep_crosses_a_chunk_boundary_under_the_tracer(monkeypatch):
     tracer = _load_tracer()
     quad, _ = checks.default_specs()
+    monkeypatch.setattr(checks, "_PROBE_CHUNK", 999)
     t = tracer.Tracer()
     with tracer.patched(t, tracer.resolve()):
-        result = checks.check_lipschitz(quad, seed=0, pairs=2001)
+        result = checks.check_lipschitz(quad, seed=0)
     assert result.passed
-    # 2000 + 1 pairs, each chunk drifting both of its point sets.
-    assert t.counts["checks.probes"] == 4002
+    # Lipschitz's 1000 pairs as 999 + 1, each chunk drifting both point sets.
+    assert t.counts["checks.probes"] == 2000
     assert t.calls["dynamics.drift"] == 4
     # One standard-normal block per chunk: 2 points x 2nd coordinates a pair.
     width = 2 * 4 * quad.dim
     assert t.calls["rng.stream_draw"] == 2
-    assert t.counts["rng.variates"] == 2 * 2001 * width
+    assert t.counts["rng.variates"] == 2 * 1000 * width

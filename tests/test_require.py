@@ -21,7 +21,6 @@ from minmax_langevin import (
     transient_kl_envelope,
     variance_and_fisher_bounds,
 )
-from minmax_langevin.checks import check_gd_envelope
 from minmax_langevin.deterministic import gd_rate_audit
 from minmax_langevin.payoff import require
 from minmax_langevin.rng import (KeyedNoise, create_stream, derive_stream_id,
@@ -157,10 +156,3 @@ def test_gd_rate_audit_rejects_bad_arguments(eta_gd, steps, message):
     # steps=0 recorded a NaN envelope.
     with pytest.raises(ValueError, match=f"^{message}$"):
         gd_rate_audit(QUAD, ORIGIN, eta_gd, steps)
-
-
-def test_gd_envelope_check_rejects_a_negative_step_count():
-    # A bad argument raises, as in the other suites; only an envelope
-    # violation is a FAIL result.
-    with pytest.raises(ValueError, match="^steps must be nonnegative$"):
-        check_gd_envelope(QUAD, steps=-3)
