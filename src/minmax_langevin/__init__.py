@@ -14,7 +14,7 @@ from .payoff import (
     QuadraticBilinear,
     check_gradient_fd,
 )
-from .rng import KeyedNoise, create_stream, derive_stream_id, standard_normal_block
+from .rng import KeyedNoise, derive_stream_id, standard_normal_block
 from .deterministic import (
     EnvelopeViolation,
     JointPoint,
@@ -72,7 +72,6 @@ __all__ = [
     "PerturbedQuadratic",
     "check_gradient_fd",
     "KeyedNoise",
-    "create_stream",
     "derive_stream_id",
     "standard_normal_block",
     "JointPoint",

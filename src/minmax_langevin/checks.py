@@ -36,7 +36,7 @@ from .oracle import GaussianDist, joint_equilibrium
 from .payoff import (PayoffSpec, PerturbedQuadratic, QuadraticBilinear,
                      check_gradient_fd, require)
 from .rng import (KeyedNoise, _philox_words, _role_code, _words_to_pairs,
-                  create_stream, derive_stream_id, standard_normal_block)
+                  derive_stream_id, standard_normal_block)
 
 __all__ = ["CheckResult", "run_all_checks", "gradient_checks", "default_specs"]
 
@@ -58,13 +58,10 @@ def default_specs(dim: int = 2):
     return quad, pert
 
 
-def _stream(seed: int, tag: str):
-    return create_stream(seed, derive_stream_id(tag, 0, 0))
-
-
 def _normals(seed: int, tag: str, *shape: int) -> np.ndarray:
     """The first ``prod(shape)`` normals of the ``tag`` stream, in ``shape``."""
-    return standard_normal_block(_stream(seed, tag), int(np.prod(shape))).reshape(shape)
+    return standard_normal_block(
+        seed, derive_stream_id(tag), 0, int(np.prod(shape))).reshape(shape)
 
 
 def _result(title: str, spec, passed: bool, detail: str) -> CheckResult:
@@ -83,16 +80,18 @@ _PROBE_CHUNK = 2000
 def _worst_over_pairs(spec, tag: str, seed: int, pairs: int, n: int, statistic):
     """Max over random pairs of ``statistic(z1, z2, b1, b2)``, one value per row.
 
-    Each chunk of m pairs is one ``tag`` stream block, scaled by 2, of 2m
-    joint vectors in R^{2nd}: z1 then z2, with b1, b2 the drift b_Z at them.
+    Pairs ``start .. start+m-1`` are 2m joint vectors in R^{2nd}, z1 then z2:
+    the ``tag`` stream's draws from ``2 * start * 2nd``, scaled by 2.  b1 and
+    b2 are the drift b_Z at them.
     """
-    stream = _stream(seed, tag)
+    stream_id = derive_stream_id(tag)
     d = spec.dim
     width = 2 * n * d
     stats = []
     for start in range(0, pairs, _PROBE_CHUNK):
         m = min(_PROBE_CHUNK, pairs - start)
-        z = 2.0 * standard_normal_block(stream, 2 * m * width).reshape(2 * m, width)
+        z = 2.0 * standard_normal_block(
+            seed, stream_id, 2 * start * width, 2 * m * width).reshape(2 * m, width)
         z1, z2 = z[:m], z[m:]
         b1 = batched_joint_drift(spec, z1, n, d)
         b2 = batched_joint_drift(spec, z2, n, d)
@@ -119,7 +118,7 @@ def _random_gaussians(seed: int, tag: str, count: int, dim: int, ridge: float):
 def check_gradients(spec: PayoffSpec, tol: float, seed: int = 0, points: int = 100):
     require("at least 1", points=points)
     x, y = _normals(seed, "gradcheck", points, 2, spec.dim).transpose(1, 0, 2)
-    worst = check_gradient_fd(spec, x, y, h=1e-5)
+    worst = check_gradient_fd(spec, x, y)
     return _result("gradient_fd", spec, worst <= tol,
                    f"max deviation {worst:.3e} (tol {tol:.0e}, {points} points)")
 
@@ -276,16 +275,12 @@ def check_second_moment_stability(seed: int = 0):
 
 
 def check_rng_consistency():
-    """Split blocks match one block; each row of an x/y block pair is the
-    pair of variates of its own words, and a smaller particle block is a
-    prefix of a larger one, whichever rows the last slab holds."""
-    s1 = create_stream(123, 42)
-    whole = standard_normal_block(s1, 8)
-    s2 = create_stream(123, 42)
-    halves = np.concatenate(
-        [standard_normal_block(s2, 3), standard_normal_block(s2, 5)]
-    )
-    ok_split = np.array_equal(whole, halves)
+    """Adjacent ranges 0..2 and 3..7 of a stream concatenate to its range
+    0..7; each row of an x/y block pair is the pair of variates of its own
+    words, and a smaller particle block is a prefix of a larger one,
+    whichever rows the last slab holds."""
+    ok_split = np.array_equal(standard_normal_block(123, 42, 0, 8), np.concatenate(
+        [standard_normal_block(123, 42, 0, 3), standard_normal_block(123, 42, 3, 5)]))
     noise = KeyedNoise(123)
     x5, y9 = noise.block("x", 5, 3, 7), noise.block("y", 9, 3, 7)
     y5, x9 = noise.block("y", 5, 3, 7), noise.block("x", 9, 3, 7)

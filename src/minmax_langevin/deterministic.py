@@ -105,12 +105,14 @@ def _solve_quadratic(spec: QuadraticBilinear) -> JointPoint:
 def warm_start_tolerance(spec: PayoffSpec, tau: float) -> float:
     """Gradient-norm target sqrt(tau * d * L^2 / alpha^3) for warm starts."""
     c = spec.constants()
-    return float(np.sqrt(tau * spec.dim * c.smooth_L**2 / c.alpha**3))
+    cube = c.alpha**3  # where it underflows to 0, the target is its limit, inf
+    return float(np.sqrt(tau * spec.dim * c.smooth_L**2 / cube)) if cube else math.inf
 
 
-def solve_equilibrium(
-    spec: PayoffSpec, tol: float = 1e-10, max_iters: int = 1_000_000
-) -> tuple[JointPoint, int]:
+_MAX_ITERS = 1_000_000  # the step cap of solve_equilibrium's descent-ascent
+
+
+def solve_equilibrium(spec: PayoffSpec, tol: float = 1e-10) -> tuple[JointPoint, int]:
     """Equilibrium point with |grad V(z*)| <= tol * s, plus iterations used.
 
     The scale ``s = max(1, |grad V(0)|) = max(1, |(u, v)|)`` makes the test
@@ -121,11 +123,10 @@ def solve_equilibrium(
     the last step, or not finite (NaN) at any step, raises ``RuntimeError``.
     """
     require("positive", tol=tol)
-    require("nonnegative", max_iters=max_iters)
     base = spec if isinstance(spec, QuadraticBilinear) else spec.base
     scale = max(1.0, math.hypot(*base.u, *base.v))
     z = _solve_quadratic(base)
-    iters = 0 if base is spec else max_iters
+    iters = 0 if base is spec else _MAX_ITERS
     eta = spec.constants().eta_gd
     for k in range(iters + 1):
         norm = grad_norm(spec, z, scale)

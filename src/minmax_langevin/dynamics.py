@@ -114,11 +114,9 @@ class ParticleState:
         return np.concatenate([self.xs, self.ys], axis=-1)
 
 
-def replicate_point(z: JointPoint, n: int, step: int = 0) -> ParticleState:
-    """All n particles sitting at the joint point z."""
-    return ParticleState(
-        xs=np.tile(z.x, (n, 1)), ys=np.tile(z.y, (n, 1)), step=step
-    )
+def replicate_point(z: JointPoint, n: int) -> ParticleState:
+    """All n particles sitting at the joint point z, at step 0."""
+    return ParticleState(xs=np.tile(z.x, (n, 1)), ys=np.tile(z.y, (n, 1)))
 
 
 # Particle and step counts size numpy arrays and loop ranges: int64 at most.

@@ -215,14 +215,21 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
     if quadratic and config.tau > 0.0 and init_law is not None:
         # These depend on the config alone, so their overflow is its error.
         with _overflow_raises(ConfigError(
-                "tau, init.cov_scale: the exact variance, bias bound or "
-                "initial KL/W2 overflows")):
+                "tau, init.cov_scale: the exact variance or initial KL/W2 "
+                "overflows")):
             var_exact = equilibrium_variance(spec, config.tau)
+            kl0 = gaussian_kl(init_law, reference)
+            w20 = gaussian_w2(init_law, reference)
+        # A Python float: it overflows to inf, or divides by alpha**3 = 0, unseen.
+        try:
             bias_value = kl_bias_bound(
                 constants.alpha, constants.smooth_L, config.tau, d, n, eta, var_exact
             )
-            kl0 = gaussian_kl(init_law, reference)
-            w20 = gaussian_w2(init_law, reference)
+        except ZeroDivisionError:
+            bias_value = np.inf
+        if not np.isfinite(bias_value):
+            raise ConfigError(f"payoff: bias_bound is not finite (alpha = "
+                              f"{constants.alpha:g}, L = {constants.smooth_L:g})")
 
         def envelope(step: int) -> float:
             return transient_kl_envelope(
@@ -255,6 +262,8 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
         k = len(chunk)
         means = np.array([c.avg_mean for c in chunk])
         gaps = duality_gap_bound(spec, JointPoint(x=means[:, :d], y=means[:, d:]))
+        if not np.isfinite(gaps).all():  # a Python-float quotient overflowed
+            raise FloatingPointError("grad_gap_bound is not finite")
         traces, kls, w2s = [0.0] * k, [None] * k, [None] * k
         if chunk[0].cov is not None:
             fits = GaussianDist(mean=means, cov=np.array([c.cov for c in chunk]))
@@ -309,6 +318,9 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
         raise
     loop_seconds = time.perf_counter() - t_loop - score_seconds
     flush()
+    # Step 0 bounds every row; checked last so an overflowing row names its step.
+    if envelope is not None and not np.isfinite(envelope(0)):
+        raise ConfigError("tau, init.cov_scale: envelope_kl is not finite")
     t_write = time.perf_counter()
     final_state = final.system(0)
     if config.snapshots == "final":

@@ -271,20 +271,22 @@ class PerturbedQuadratic:
 PayoffSpec = QuadraticBilinear | PerturbedQuadratic
 
 
-def check_gradient_fd(spec: PayoffSpec, x, y, h: float = 1e-5) -> float:
+_FD_STEP = 1e-5  # the central finite-difference step of check_gradient_fd
+
+
+def check_gradient_fd(spec: PayoffSpec, x, y) -> float:
     """Max deviation, over all points, of the analytic gradient from central FD.
 
     Deviations are measured per component relative to max(1, |component|),
     so near-zero gradient components are compared absolutely.  A NaN
     gradient or value gives NaN, which fails every ``<= tol`` test.
     """
-    require("positive", **{"finite-difference step h": h})
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     grad = np.stack([spec.grad_x(x, y), spec.grad_y(x, y)])
     fd = np.empty_like(grad)
-    for k, e in enumerate(h * np.eye(spec.dim)):
+    for k, e in enumerate(_FD_STEP * np.eye(spec.dim)):
         fd[0, ..., k] = spec.value(x + e, y) - spec.value(x - e, y)
         fd[1, ..., k] = spec.value(x, y + e) - spec.value(x, y - e)
-    deviation = np.abs(fd / (2.0 * h) - grad) / np.maximum(1.0, np.abs(grad))
+    deviation = np.abs(fd / (2.0 * _FD_STEP) - grad) / np.maximum(1.0, np.abs(grad))
     return float(np.max(deviation))

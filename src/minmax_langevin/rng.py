@@ -22,10 +22,10 @@ at counter ``(j // 4 + 1, counter1, 0, 0)`` under key ``(seed, key1)``; the
    cosine variate of each word and the second role the sine variate.  The
    pair code is the role code of the pair's first role: the first eight
    bytes of SHA-256 of its tag.
-2. A scalar ``NoiseStream`` reads its draw ``j`` as the cosine variate of
-   word ``j`` of the sequence ``(seed, stream_id, 0)``.  ``derive_stream_id``
-   chains a SHA-256 role tag through splitmix64 finalizer rounds with a
-   particle index and a step counter to name such streams.
+2. Scalar stream ``stream_id`` draws ``j`` as the cosine variate of word
+   ``j`` of the sequence ``(seed, stream_id, 0)``; a draw names its range
+   by start and count, so it keeps no state.  ``derive_stream_id`` names a
+   stream by three splitmix64 rounds of a role's code.
 3. A word ``w`` gives two independent standard normals by Box-Muller (Box
    and Muller, 1958): the radius ``r = sqrt(-2 ln u1)`` with
    ``u1 = (hi32(w) + 0.5) * 2**-32`` in float64, and the angle
@@ -61,19 +61,12 @@ import functools
 import hashlib
 import sys
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .payoff import require
 
-__all__ = [
-    "NoiseStream",
-    "create_stream",
-    "standard_normal_block",
-    "derive_stream_id",
-    "KeyedNoise",
-]
+__all__ = ["standard_normal_block", "derive_stream_id", "KeyedNoise"]
 
 # The scheme above as run manifests record it; a change to the variates changes it.
 NOISE_SCHEME = ("v3: numpy philox4x64-10; role pairs (x, y) and (init-x, init-y) "
@@ -107,18 +100,11 @@ def _role_code(role: str) -> np.uint64:
     return _U64(int.from_bytes(digest[:8], "big"))
 
 
-def derive_stream_id(role: str, particle, step: int):
-    """Hash a (role, particle, step) address into a 64-bit stream id.
-
-    ``particle`` may be an integer or an integer array; the result has the
-    same shape.  Distinct addresses map to distinct ids up to the 64-bit
-    birthday bound, which is far beyond desk-scale experiments.
-    """
-    require("nonnegative", step=step)
-    h = _splitmix64(_role_code(role))
-    h = _splitmix64(h ^ np.asarray(particle, dtype=_U64))
-    h = _splitmix64(h ^ _U64(step))
-    return h
+def derive_stream_id(role: str) -> np.uint64:
+    """The 64-bit id of ``role``'s scalar stream: three splitmix64 rounds of
+    its role code.  Distinct roles get distinct ids up to the 64-bit
+    birthday bound."""
+    return _splitmix64(_splitmix64(_splitmix64(_role_code(role))))
 
 
 # The one generator behind every draw.  Each draw sets its whole state, so
@@ -177,28 +163,15 @@ def _words_to_pairs(words):
     return z_cos, np.multiply(r, np.sin(theta, out=theta), out=r)
 
 
-@dataclass
-class NoiseStream:
-    """A position in the (seed, stream_id)-keyed Gaussian sequence."""
-
-    seed: int
-    stream_id: int
-    index: int = field(default=0)
-
-
-def create_stream(seed: int, stream_id: int) -> NoiseStream:
-    """Stream positioned at draw index 0 for the given (seed, stream_id)."""
+def standard_normal_block(seed: int, stream_id: int, start: int, n: int) -> np.ndarray:
+    """Draws ``start .. start+n-1`` of the scalar stream ``(seed, stream_id)``:
+    the cosine variates of words ``start .. start+n-1`` of the sequence
+    ``(seed, stream_id, 0)``, so adjacent ranges concatenate."""
     if not (0 <= seed < 2**64) or not (0 <= int(stream_id) < 2**64):
         raise ValueError("seed and stream_id must be unsigned 64-bit integers")
-    return NoiseStream(seed=int(seed), stream_id=int(stream_id))
-
-
-def standard_normal_block(stream: NoiseStream, n: int) -> np.ndarray:
-    """Next ``n`` i.i.d. standard normal draws; advances the stream by ``n``."""
+    require("nonnegative", start=start)
     require("at least 1", n=n)
-    n = int(n)
-    words = _philox_words(stream.seed, stream.stream_id, 0, stream.index, n)
-    stream.index += n
+    words = _philox_words(int(seed), int(stream_id), 0, int(start), int(n))
     return _words_to_normals(words)
 
 

@@ -725,3 +725,29 @@ class TestExtremeFiniteInputs:
         cfg_path.write_text(config_with(tmp_path, settings))
         assert main([command, "--config", str(cfg_path)]) == code
         assert capsys.readouterr().err.startswith(message)
+
+    # Statistics computed in Python floats, which np.errstate does not see:
+    # they overflowed to inf in every row (exit 0), or divided by an alpha**3
+    # that underflowed to 0 (a ZeroDivisionError traceback, exit 1).
+    @pytest.mark.parametrize("settings, code, message", [
+        ({"algorithm.n_particles": "512", "algorithm.steps": "3", "checkpoint_every": "1",
+          "init.mean_mode": "zero", "init.cov_scale": "1e305"},
+         2, "config error: tau, init.cov_scale: envelope_kl is not finite"),
+        ({"tau": "0", "payoff.A": "[0.1]", "payoff.C": "[0.0]", "algorithm.n_particles": "4",
+          "algorithm.steps": "2", "init.mean_mode": "explicit", "init.mean": "[0.0, 1e154]",
+          "init.cov_scale": "1.0"},
+         3, "divergence: step 0: checkpoint statistics overflowed"),
+        ({"payoff.A": "[1e-110]", "payoff.C": "[0.0]", "algorithm.eta": "1e-112",
+          "init.mean_mode": "zero"},
+         2, "config error: payoff: bias_bound is not finite"),
+        ({"payoff.A": "[1e-105]", "payoff.C": "[0.0]", "algorithm.eta": "1e-106"},
+         2, "config error: payoff: bias_bound is not finite"),
+        ({"payoff.A": "[1e-110]", "payoff.C": "[0.0]", "algorithm.eta": "1e-112"},
+         2, "config error: payoff: bias_bound is not finite"),
+    ], ids=["envelope", "gap", "bias-alpha-cube-0", "bias-inf", "bias-warm-start"])
+    def test_python_float_statistics_exit_by_name(self, tmp_path, capsys, settings,
+                                                  code, message):
+        cfg_path = tmp_path / "extreme.cfg"
+        cfg_path.write_text(config_with(tmp_path, settings))
+        assert main(["run", "--config", str(cfg_path)]) == code
+        assert capsys.readouterr().err.startswith(message)

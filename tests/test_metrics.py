@@ -7,7 +7,6 @@ from scipy.stats import norm
 
 from minmax_langevin import (
     GaussianDist,
-    create_stream,
     parse_config,
     run_experiment,
     derive_stream_id,
@@ -218,9 +217,9 @@ class TestEmpiricalW2:
         # n = 1e5 samples from N(0,1) and N(1, 1.5^2): empirical transport
         # cost within 5% of the closed form.
         n = 10**5
-        stream = create_stream(99, derive_stream_id("w2-convergence", 0, 0))
-        a = standard_normal_block(stream, n)
-        b = 1.0 + 1.5 * standard_normal_block(stream, n)
+        stream_id = derive_stream_id("w2-convergence")
+        a = standard_normal_block(99, stream_id, 0, n)
+        b = 1.0 + 1.5 * standard_normal_block(99, stream_id, n, n)
         empirical = empirical_w2_1d(a, b) ** 2
         closed = gaussian_w2(gauss1(0, 1), gauss1(1, 2.25))
         assert empirical == pytest.approx(closed, rel=0.05)

@@ -146,8 +146,3 @@ class TestFiniteDifferences:
         x, y = 2.0 * rng.normal(size=(40, 2, dim)).transpose(1, 0, 2)
         per_point = max(check_gradient_fd(spec, xi, yi) for xi, yi in zip(x, y))
         assert check_gradient_fd(spec, x, y) == per_point
-
-    def test_rejects_nonpositive_h(self):
-        q = scalar_quadratic()
-        with pytest.raises(ValueError, match="positive"):
-            check_gradient_fd(q, np.zeros(1), np.zeros(1), h=0.0)

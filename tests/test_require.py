@@ -17,18 +17,15 @@ from minmax_langevin import (
     gd_step,
     kl_bias_bound,
     plan_parameters,
-    solve_equilibrium,
     transient_kl_envelope,
     variance_and_fisher_bounds,
 )
 from minmax_langevin.deterministic import gd_rate_audit
 from minmax_langevin.payoff import require
-from minmax_langevin.rng import (KeyedNoise, create_stream, derive_stream_id,
-                                 standard_normal_block)
+from minmax_langevin.rng import KeyedNoise, standard_normal_block
 
 NAN = math.nan
 QUAD = QuadraticBilinear(dim=2, A=np.eye(2), B=np.eye(2), C=0.5 * np.eye(2))
-PERT = PerturbedQuadratic(base=QUAD, amplitude=0.1, frequency=1.0)
 ORIGIN = JointPoint(x=np.zeros(2), y=np.zeros(2))
 
 
@@ -105,10 +102,8 @@ def test_the_first_failing_value_is_named():
     (lambda: ParticleState(np.zeros((3, 2)), np.zeros((3, 2)), step=NAN),
      "step must be nonnegative"),
     (lambda: GaussianDist.isotropic(np.zeros(2), NAN), "scale must be nonnegative"),
-    (lambda: solve_equilibrium(PERT, max_iters=-5), "max_iters must be nonnegative"),
-    (lambda: derive_stream_id("x", 0, NAN), "step must be nonnegative"),
     (lambda: KeyedNoise(0).block("x", 2, NAN, 1), "step must be nonnegative"),
-    (lambda: standard_normal_block(create_stream(0, 1), NAN), "n must be at least 1"),
+    (lambda: standard_normal_block(0, 1, 0, NAN), "n must be at least 1"),
     (lambda: GaussianDist(mean=[NAN, 0.0], cov=np.eye(2)), "mean and cov must be finite"),
     (lambda: GaussianDist(mean=[math.inf, 0.0], cov=np.eye(2)),
      "mean and cov must be finite"),
@@ -121,8 +116,8 @@ def test_the_first_failing_value_is_named():
         "A-nan", "A-inf", "B-nan", "B-inf", "C-nan", "C-inf", "u-nan", "u-inf",
         "v-nan", "v-inf", "smooth_L-1e200", "smooth_L-1e100",
         "gd_step", "record-kl", "record-w2", "contraction", "envelope-k", "bias-d",
-        "bias-n", "fisher-d", "plan-d", "state-step", "isotropic", "max_iters",
-        "stream-id-step", "keyed-step", "block-n", "gaussian-nan-mean",
+        "bias-n", "fisher-d", "plan-d", "state-step", "isotropic",
+        "keyed-step", "block-n", "gaussian-nan-mean",
         "gaussian-inf-mean", "gaussian-inf-cov", "gaussian-nan-cov"])
 def test_an_unchecked_argument_is_rejected_by_name(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -12,13 +12,12 @@ from scipy.special import ndtri
 
 from minmax_langevin import (
     KeyedNoise,
-    create_stream,
     derive_stream_id,
     parse_config,
     run_experiment,
     standard_normal_block,
 )
-from minmax_langevin import rng
+from minmax_langevin import checks, rng
 from minmax_langevin.rng import (_philox_words, _role_code, _words_to_normals,
                                   _words_to_pairs)
 from test_mutants import noise_read_one_step_late
@@ -120,24 +119,23 @@ def numpy_philox_words(seed, key1, n, counter1=0, start=0):
 
 class TestStreams:
     def test_same_stream_replays(self):
-        a = standard_normal_block(create_stream(42, 0), 16)
-        b = standard_normal_block(create_stream(42, 0), 16)
+        a = standard_normal_block(42, 0, 0, 16)
+        b = standard_normal_block(42, 0, 0, 16)
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        a = standard_normal_block(create_stream(42, 0), 4)
-        b = standard_normal_block(create_stream(42, 1), 4)
+        a = standard_normal_block(42, 0, 0, 4)
+        b = standard_normal_block(42, 1, 0, 4)
         assert a[0] != b[0]
 
     def test_zero_seed_allowed(self):
-        out = standard_normal_block(create_stream(0, 0), 4)
+        out = standard_normal_block(0, 0, 0, 4)
         assert np.isfinite(out).all()
 
-    def test_counter_consistency_two_plus_two(self):
-        whole = standard_normal_block(create_stream(9, 5), 4)
-        s = create_stream(9, 5)
+    def test_adjacent_ranges_concatenate_two_plus_two(self):
+        whole = standard_normal_block(9, 5, 0, 4)
         split = np.concatenate(
-            [standard_normal_block(s, 2), standard_normal_block(s, 2)]
+            [standard_normal_block(9, 5, 0, 2), standard_normal_block(9, 5, 2, 2)]
         )
         np.testing.assert_array_equal(whole, split)
 
@@ -147,23 +145,26 @@ class TestStreams:
         cut=st.integers(min_value=0, max_value=64),
         seed=st.integers(min_value=0, max_value=2**63),
     )
-    def test_any_split_matches_whole_block(self, total, cut, seed):
+    def test_adjacent_ranges_concatenate_to_the_whole_range(self, total, cut, seed):
         cut = min(cut, total)
-        whole = standard_normal_block(create_stream(seed, 7), total)
-        s = create_stream(seed, 7)
+        whole = standard_normal_block(seed, 7, 0, total)
         parts = []
         if cut:
-            parts.append(standard_normal_block(s, cut))
+            parts.append(standard_normal_block(seed, 7, 0, cut))
         if total - cut:
-            parts.append(standard_normal_block(s, total - cut))
+            parts.append(standard_normal_block(seed, 7, cut, total - cut))
         np.testing.assert_array_equal(whole, np.concatenate(parts))
 
     def test_rejects_empty_block(self):
         with pytest.raises(ValueError):
-            standard_normal_block(create_stream(1, 1), 0)
+            standard_normal_block(1, 1, 0, 0)
+
+    def test_rejects_negative_start(self):
+        with pytest.raises(ValueError, match="^start must be nonnegative$"):
+            standard_normal_block(1, 1, -1, 4)
 
     def test_moments_of_a_million_draws(self):
-        draws = standard_normal_block(create_stream(2718281828, 0), 10**6)
+        draws = standard_normal_block(2718281828, 0, 0, 10**6)
         assert abs(draws.mean()) <= 0.005
         assert 0.99 <= draws.var() <= 1.01
 
@@ -218,10 +219,8 @@ class TestOracle:
     def test_scalar_streams_match_oracle(self, seed, stream_id):
         for start in (0, 1, 2, 3, 4, 5, 13, 255):
             for count in (1, 3, 4, 9):
-                stream = create_stream(seed, stream_id)
-                stream.index = start
                 np.testing.assert_array_equal(
-                    standard_normal_block(stream, count),
+                    standard_normal_block(seed, stream_id, start, count),
                     reference_normals(oracle_words(seed, stream_id, 0, start, count)),
                 )
 
@@ -349,9 +348,8 @@ class TestKeyedNoise:
                 np.testing.assert_array_equal(block[i], row[0])
         block = noise.block("x", 6, 0, 5)
         for i in range(6):
-            stream = create_stream(77, int(_role_code("x")))
-            stream.index = 5 * i
-            np.testing.assert_array_equal(block[i], standard_normal_block(stream, 5))
+            np.testing.assert_array_equal(
+                block[i], standard_normal_block(77, int(_role_code("x")), 5 * i, 5))
 
     def test_noise_independent_of_particle_count(self):
         noise = KeyedNoise(5)
@@ -367,19 +365,29 @@ class TestKeyedNoise:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_stream_id_collision_free_sample(self):
-        ids = set()
-        for role in ("x", "y", "init-x", "init-y"):
-            for particle in range(50):
-                for step in range(50):
-                    ids.add(int(derive_stream_id(role, particle, step)))
-        assert len(ids) == 4 * 50 * 50
+    def test_check_stream_ids_are_distinct_and_chain_addressed(self, monkeypatch):
+        # Every tag the suites draw from, seen at the call.  Each id equals the
+        # splitmix64 chain of (tag, particle 0, step 0), whose zero XORs are
+        # identities, so no probe point moves with the role-only signature.
+        tags = []
+        monkeypatch.setattr(checks, "derive_stream_id",
+                            lambda tag: tags.append(tag) or derive_stream_id(tag))
+        checks.run_all_checks(seed=0)
+        ids = {tag: int(derive_stream_id(tag)) for tag in tags}
+        assert len(ids) == len(set(ids.values())) == 9
+        zero = _U64(0)
+        for tag, stream_id in ids.items():
+            chain = rng._splitmix64(rng._splitmix64(
+                rng._splitmix64(_role_code(tag)) ^ zero) ^ zero)
+            assert stream_id == int(chain)
+        assert hex(ids["monotone"]) == "0x56218bc186d9dd26"
+        assert hex(ids["contraction"]) == "0x1f0831204d49688d"
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):
             KeyedNoise(-1)
         with pytest.raises(ValueError):
-            create_stream(2**64, 0)
+            standard_normal_block(2**64, 0, 0, 1)
 
 
 class TestWholeStreamOracle:
@@ -390,11 +398,8 @@ class TestWholeStreamOracle:
         reference = reference_normals(numpy_philox_words(seed, stream_id, 64))
         for start in range(0, 13):
             for count in (1, 3, 4, 5, 17, 64 - start):
-                stream = create_stream(seed, stream_id)
-                if start:
-                    standard_normal_block(stream, start)
                 np.testing.assert_array_equal(
-                    standard_normal_block(stream, count),
+                    standard_normal_block(seed, stream_id, start, count),
                     reference[start:start + count],
                 )
 
@@ -414,8 +419,7 @@ class TestSharedGenerator:
 
     def test_interleaved_blocks_and_streams_match_oracle(self):
         noises = {seed: KeyedNoise(seed) for seed in (3, 2**64 - 5)}
-        streams = {sid: create_stream(3, sid) for sid in (11, 2**63 + 7)}
-        drawn = {sid: 0 for sid in streams}
+        drawn = {sid: 0 for sid in (11, 2**63 + 7)}
         for i in range(24):
             seed = (3, 2**64 - 5)[i % 2]
             role = ("x", "y", "init-x")[i % 3]
@@ -430,7 +434,7 @@ class TestSharedGenerator:
             sid = (11, 2**63 + 7)[i % 2]
             count = 2 * i + 1  # odd, so later draws start mid-block
             np.testing.assert_array_equal(
-                standard_normal_block(streams[sid], count),
+                standard_normal_block(3, sid, drawn[sid], count),
                 reference_normals(numpy_philox_words(3, sid, count, start=drawn[sid])),
             )
             drawn[sid] += count
@@ -476,10 +480,9 @@ class TestSharedGenerator:
 
         monkeypatch.setattr(np.random, "Philox", counting_philox)
         noise = KeyedNoise(8)
-        stream = create_stream(8, 99)
         for step in range(50):
             noise.block("x", 16, step, 2)
-            standard_normal_block(stream, 3)
+            standard_normal_block(8, 99, 3 * step, 3)
         assert constructed == []
 
 
@@ -705,7 +708,7 @@ class TestNoiseSchemeGolden:
             "-0x1.964900a9f694dp-2", "0x1.f287304a351abp-1", "-0x1.2e711b339f811p+1",
             "-0x1.e85bace2d35b9p-3", "-0x1.57ff6faf23738p+1",
         ]
-        draws = standard_normal_block(create_stream(1, 2), 5)
+        draws = standard_normal_block(1, 2, 0, 5)
         assert [float(v).hex() for v in draws] == expected
 
     def test_manifest_names_this_scheme(self, tmp_path):
