@@ -70,19 +70,19 @@ def _result(title: str, spec, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name=name, passed=passed, detail=detail)
 
 
-# Probe pairs per drawn-and-drifted chunk.  The chunk bounds memory, not
-# time: drawing all 10,000 contraction pairs in one batch raises the peak RSS
-# of ``check --seed 8`` from 62.9 to 76.0 MB (+21%, on a 2-vCPU x86-64 Linux
-# host).
+# Probe pairs per drawn-and-drifted chunk.  The chunk bounds memory only:
+# drawing all 10,000 contraction pairs in one batch raises the peak RSS of
+# ``check --seed 8`` from 62.9 to 76.0 MB (+21%, on a 2-vCPU x86-64 Linux
+# host).  A pair's points depend on its index alone, not on the chunk.
 _PROBE_CHUNK = 2000
 
 
 def _worst_over_pairs(spec, tag: str, seed: int, pairs: int, n: int, statistic):
     """Max over random pairs of ``statistic(z1, z2, b1, b2)``, one value per row.
 
-    Pairs ``start .. start+m-1`` are 2m joint vectors in R^{2nd}, z1 then z2:
-    the ``tag`` stream's draws from ``2 * start * 2nd``, scaled by 2.  b1 and
-    b2 are the drift b_Z at them.
+    Pair ``i`` is two joint vectors in R^{2nd}, z1 then z2: the ``tag``
+    stream's draws ``2 i w .. 2 (i + 1) w - 1`` for ``w = 2nd``, scaled by 2.
+    b1 and b2 are the drift b_Z at them.
     """
     stream_id = derive_stream_id(tag)
     d = spec.dim
@@ -91,8 +91,8 @@ def _worst_over_pairs(spec, tag: str, seed: int, pairs: int, n: int, statistic):
     for start in range(0, pairs, _PROBE_CHUNK):
         m = min(_PROBE_CHUNK, pairs - start)
         z = 2.0 * standard_normal_block(
-            seed, stream_id, 2 * start * width, 2 * m * width).reshape(2 * m, width)
-        z1, z2 = z[:m], z[m:]
+            seed, stream_id, 2 * start * width, 2 * m * width).reshape(m, 2, width)
+        z1, z2 = z[:, 0], z[:, 1]
         b1 = batched_joint_drift(spec, z1, n, d)
         b2 = batched_joint_drift(spec, z2, n, d)
         stats.append(statistic(z1, z2, b1, b2))
@@ -276,11 +276,14 @@ def check_second_moment_stability(seed: int = 0):
 
 def check_rng_consistency():
     """Adjacent ranges 0..2 and 3..7 of a stream concatenate to its range
-    0..7; each row of an x/y block pair is the pair of variates of its own
-    words, and a smaller particle block is a prefix of a larger one,
-    whichever rows the last slab holds."""
-    ok_split = np.array_equal(standard_normal_block(123, 42, 0, 8), np.concatenate(
+    0..7, the variate pairs of words 0..3; each row of an x/y block pair is
+    the pair of variates of its own words, and a smaller particle block is a
+    prefix of a larger one, whichever rows the last slab holds."""
+    whole = standard_normal_block(123, 42, 0, 8)
+    ok_split = np.array_equal(whole, np.concatenate(
         [standard_normal_block(123, 42, 0, 3), standard_normal_block(123, 42, 3, 5)]))
+    ok_pairs = np.array_equal(
+        whole, np.stack(_words_to_pairs(_philox_words(123, 42, 0, 0, 4)), axis=1).ravel())
     noise = KeyedNoise(123)
     x5, y9 = noise.block("x", 5, 3, 7), noise.block("y", 9, 3, 7)
     y5, x9 = noise.block("y", 5, 3, 7), noise.block("x", 9, 3, 7)
@@ -293,8 +296,9 @@ def check_rng_consistency():
     )
     prefix_ok = (x9.shape == y9.shape == (9, 7) and np.array_equal(x5, x9[:5])
                  and np.array_equal(y5, y9[:5]))
-    return _result("rng_stream_consistency", None, ok_split and rows_ok and prefix_ok,
-                   f"block split {ok_split}, keyed rows {rows_ok}, "
+    return _result("rng_stream_consistency", None,
+                   ok_split and ok_pairs and rows_ok and prefix_ok,
+                   f"block split {ok_split}, word pairs {ok_pairs}, keyed rows {rows_ok}, "
                    f"particle prefix {prefix_ok}")
 
 

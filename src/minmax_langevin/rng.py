@@ -22,10 +22,11 @@ at counter ``(j // 4 + 1, counter1, 0, 0)`` under key ``(seed, key1)``; the
    cosine variate of each word and the second role the sine variate.  The
    pair code is the role code of the pair's first role: the first eight
    bytes of SHA-256 of its tag.
-2. Scalar stream ``stream_id`` draws ``j`` as the cosine variate of word
-   ``j`` of the sequence ``(seed, stream_id, 0)``; a draw names its range
-   by start and count, so it keeps no state.  ``derive_stream_id`` names a
-   stream by three splitmix64 rounds of a role's code.
+2. Scalar stream ``stream_id`` draws ``2j`` and ``2j + 1`` as the cosine and
+   sine variates of word ``j`` of the sequence ``(seed, stream_id, 0)``; a
+   draw names its range by start and count, so it keeps no state.
+   ``derive_stream_id`` names a stream by its tag's role code and refuses
+   the particle roles, whose codes key particle noise.
 3. A word ``w`` gives two independent standard normals by Box-Muller (Box
    and Muller, 1958): the radius ``r = sqrt(-2 ln u1)`` with
    ``u1 = (hi32(w) + 0.5) * 2**-32`` in float64, and the angle
@@ -75,36 +76,26 @@ NOISE_SCHEME = ("v3: numpy philox4x64-10; role pairs (x, y) and (init-x, init-y)
                 "u1 = (hi32 + 0.5) * 2**-32, r = sqrt(-2 ln u1) in float64, "
                 "theta = (float32(int32 lo32) + 0.5) * float32(2 pi / 2**32), "
                 "first role r*cos32(theta), second role r*sin32(theta); "
-                "scalar streams take r*cos32(theta)")
+                "scalar stream draws 2j, 2j+1 = r*cos32(theta), r*sin32(theta) of word j")
 
-_U64 = np.uint64
-
-# splitmix64 finalizer multipliers.
-_SM_GAMMA = _U64(0x9E3779B97F4A7C15)
-_SM_M1 = _U64(0xBF58476D1CE4E5B9)
-_SM_M2 = _U64(0x94D049BB133111EB)
-
-
-def _splitmix64(x):
-    """splitmix64 finalizer; accepts uint64 scalars or arrays."""
-    with np.errstate(over="ignore"):
-        z = np.asarray(x, dtype=_U64) + _SM_GAMMA
-        z = (z ^ (z >> _U64(30))) * _SM_M1
-        z = (z ^ (z >> _U64(27))) * _SM_M2
-        return z ^ (z >> _U64(31))
+# Each particle-noise role's pair: the first role draws the cosine variates,
+# the second the sine variates of the same words.
+_PAIR_OF = {role: pair for pair in (("x", "y"), ("init-x", "init-y")) for role in pair}
 
 
 @functools.lru_cache(maxsize=256)
 def _role_code(role: str) -> np.uint64:
     digest = hashlib.sha256(role.encode("utf-8")).digest()
-    return _U64(int.from_bytes(digest[:8], "big"))
+    return np.uint64(int.from_bytes(digest[:8], "big"))
 
 
 def derive_stream_id(role: str) -> np.uint64:
-    """The 64-bit id of ``role``'s scalar stream: three splitmix64 rounds of
-    its role code.  Distinct roles get distinct ids up to the 64-bit
-    birthday bound."""
-    return _splitmix64(_splitmix64(_splitmix64(_role_code(role))))
+    """The 64-bit id of ``role``'s scalar stream: its role code.  A particle
+    role is refused, as its code keys particle noise (the stream at the
+    code of ``x`` interleaves the x and y rows of step 0)."""
+    if role in _PAIR_OF:
+        raise ValueError(f"{role!r} is a particle noise role, not a stream tag")
+    return _role_code(role)
 
 
 # The one generator behind every draw.  Each draw sets its whole state, so
@@ -150,12 +141,6 @@ def _polar(words):
     return r, theta
 
 
-def _words_to_normals(words) -> np.ndarray:
-    """The cosine variate ``r cos theta`` of each word."""
-    r, theta = _polar(words)
-    return np.multiply(r, np.cos(theta, out=theta), out=r)
-
-
 def _words_to_pairs(words):
     """Both variates of each word: ``(r cos theta, r sin theta)``."""
     r, theta = _polar(words)
@@ -164,20 +149,22 @@ def _words_to_pairs(words):
 
 
 def standard_normal_block(seed: int, stream_id: int, start: int, n: int) -> np.ndarray:
-    """Draws ``start .. start+n-1`` of the scalar stream ``(seed, stream_id)``:
-    the cosine variates of words ``start .. start+n-1`` of the sequence
-    ``(seed, stream_id, 0)``, so adjacent ranges concatenate."""
+    """Draws ``start .. start+n-1`` of the scalar stream ``(seed, stream_id)``,
+    draw ``j`` the cosine (even ``j``) or sine (odd ``j``) variate of word
+    ``j // 2`` of the sequence ``(seed, stream_id, 0)``."""
     if not (0 <= seed < 2**64) or not (0 <= int(stream_id) < 2**64):
         raise ValueError("seed and stream_id must be unsigned 64-bit integers")
     require("nonnegative", start=start)
     require("at least 1", n=n)
-    words = _philox_words(int(seed), int(stream_id), 0, int(start), int(n))
-    return _words_to_normals(words)
+    start, n = int(start), int(n)
+    # Word j's counter j // 4 + 1 fits in 64 bits for 2**66 - 4 words.
+    if start + n > 2**67 - 8:
+        raise ValueError("start + n must be at most 2**67 - 8, the length of a stream")
+    first = start // 2
+    words = _philox_words(int(seed), int(stream_id), 0, first, (start + n + 1) // 2 - first)
+    return np.stack(_words_to_pairs(words), axis=1).ravel()[start % 2:start % 2 + n]
 
 
-# Each particle-noise role's pair: the first role draws the cosine variates,
-# the second the sine variates of the same words.
-_PAIR_OF = {role: pair for pair in (("x", "y"), ("init-x", "init-y")) for role in pair}
 # The most words one slab draws, unless one step alone needs more.
 _SLAB_WORDS = 2**12
 

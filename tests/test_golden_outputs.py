@@ -104,5 +104,5 @@ class TestOutputGolden:
     def test_check_stdout(self, capsys):
         assert main(["check", "--seed", "8"]) == 0
         assert _sha256(capsys.readouterr().out.encode()) == (
-            "7df095c0b5337bc74c4613532fa1a9ebd212751b16152393fb2e2b3ca1ae9e50"
+            "76555c887f98d3b833a18a6584751948e36f0a4beb7be2317342e835064c148d"
         )

@@ -4,8 +4,10 @@ Each mutant is a monkeypatch of one line of the solver; nothing in ``src/``
 is edited.  A test pins the suite that catches its mutant at seed 8 (the
 seed ``check`` is pinned at), and that the unmutated suite passes there.
 
-The two noise-addressing mutants are caught in ``check`` only by their
-own line's self-test, ``rng_stream_consistency``; that pin is kept too.
+The three noise mutants are caught in ``check`` only by their own line's
+self-test, ``rng_stream_consistency``; that pin is kept too, and for the
+scalar stream's mutant, which every probe suite draws through, so is the
+pin that no other suite fails.
 The sign of C flipped in the drift alone fails no suite of ``check``: the
 flipped drift has the same monotonicity, Lipschitz and contraction
 constants, and the default payoffs have z* = 0, where the flip changes
@@ -53,6 +55,13 @@ def y_takes_the_x_cosine_variate(self, role, n, step, dim):
     return _BLOCK(self, first, n, step, dim)
 
 
+def scalar_stream_takes_the_cosine_half_twice(seed, stream_id, start, n):
+    """Odd draws repeat the cosine variate of their word, not its sine."""
+    first = start // 2
+    words = rng._philox_words(seed, stream_id, 0, first, (start + n + 1) // 2 - first)
+    return np.repeat(rng._words_to_pairs(words)[0], 2)[start % 2:start % 2 + n]
+
+
 # (mutant, patched owner, attribute, the suite that catches it, its result name)
 MUTANTS = [
     (opponent_mean_over_every_leading_axis, dynamics, "drift_particles",
@@ -65,6 +74,8 @@ MUTANTS = [
      checks.check_rng_consistency, "rng_stream_consistency"),
     (y_takes_the_x_cosine_variate, rng.KeyedNoise, "block",
      checks.check_rng_consistency, "rng_stream_consistency"),
+    (scalar_stream_takes_the_cosine_half_twice, checks, "standard_normal_block",
+     checks.check_rng_consistency, "rng_stream_consistency"),
 ]
 
 
@@ -76,3 +87,10 @@ def test_suite_catches_mutant(monkeypatch, mutant, owner, attr, suite, name):
     result = suite()
     assert result.name == name
     assert not result.passed, result.detail
+
+
+def test_the_scalar_stream_mutant_fails_no_other_suite(monkeypatch):
+    monkeypatch.setattr(checks, "standard_normal_block",
+                        scalar_stream_takes_the_cosine_half_twice)
+    failed = [r.name for r in checks.run_all_checks(seed=SEED) if not r.passed]
+    assert failed == ["rng_stream_consistency"]

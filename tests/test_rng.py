@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import ndtri
@@ -18,8 +18,7 @@ from minmax_langevin import (
     standard_normal_block,
 )
 from minmax_langevin import checks, rng
-from minmax_langevin.rng import (_philox_words, _role_code, _words_to_normals,
-                                  _words_to_pairs)
+from minmax_langevin.rng import _philox_words, _role_code, _words_to_pairs
 from test_mutants import noise_read_one_step_late
 
 _U64 = np.uint64
@@ -97,9 +96,13 @@ def reference_pairs(words):
     return r * np.cos(theta).astype(np.float64), r * np.sin(theta).astype(np.float64)
 
 
-def reference_normals(words):
-    """The cosine variate of each word: a scalar stream's draws."""
-    return reference_pairs(words)[0]
+def reference_draws(words_of, start, count):
+    """Draws ``start .. start+count-1`` of a scalar stream, ``words_of(first,
+    k)`` giving its words ``first .. first+k-1``: draw ``2j`` is the cosine
+    and draw ``2j + 1`` the sine variate of word ``j``."""
+    first = start // 2
+    pairs = reference_pairs(words_of(first, (start + count + 1) // 2 - first))
+    return np.stack(pairs, axis=1).ravel()[start % 2:start % 2 + count]
 
 
 def reference_block(words_of, role, n, dim):
@@ -141,18 +144,22 @@ class TestStreams:
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
+        start=st.integers(min_value=0, max_value=9),
         total=st.integers(min_value=1, max_value=64),
         cut=st.integers(min_value=0, max_value=64),
         seed=st.integers(min_value=0, max_value=2**63),
     )
-    def test_adjacent_ranges_concatenate_to_the_whole_range(self, total, cut, seed):
+    # An odd cut splits a word between its cosine and sine draws.
+    @example(start=0, total=8, cut=3, seed=0)
+    @example(start=1, total=6, cut=1, seed=2**63)
+    def test_adjacent_ranges_concatenate_to_the_whole_range(self, start, total, cut, seed):
         cut = min(cut, total)
-        whole = standard_normal_block(seed, 7, 0, total)
+        whole = standard_normal_block(seed, 7, start, total)
         parts = []
         if cut:
-            parts.append(standard_normal_block(seed, 7, 0, cut))
+            parts.append(standard_normal_block(seed, 7, start, cut))
         if total - cut:
-            parts.append(standard_normal_block(seed, 7, cut, total - cut))
+            parts.append(standard_normal_block(seed, 7, start + cut, total - cut))
         np.testing.assert_array_equal(whole, np.concatenate(parts))
 
     def test_rejects_empty_block(self):
@@ -162,6 +169,16 @@ class TestStreams:
     def test_rejects_negative_start(self):
         with pytest.raises(ValueError, match="^start must be nonnegative$"):
             standard_normal_block(1, 1, -1, 4)
+
+    def test_rejects_a_range_past_the_philox_counter(self):
+        # The last draws sit at counter 2**64 - 1; one more would carry.
+        last = 2**67 - 8
+        np.testing.assert_array_equal(
+            standard_normal_block(5, 6, last - 3, 3),
+            reference_draws(lambda first, k: oracle_words(5, 6, 0, first, k), last - 3, 3))
+        for start, n in ((last, 1), (last - 1, 2), (2**70, 1)):
+            with pytest.raises(ValueError, match="^start "):
+                standard_normal_block(0, 0, start, n)
 
     def test_moments_of_a_million_draws(self):
         draws = standard_normal_block(2718281828, 0, 0, 10**6)
@@ -221,7 +238,9 @@ class TestOracle:
             for count in (1, 3, 4, 9):
                 np.testing.assert_array_equal(
                     standard_normal_block(seed, stream_id, start, count),
-                    reference_normals(oracle_words(seed, stream_id, 0, start, count)),
+                    reference_draws(
+                        lambda first, k: oracle_words(seed, stream_id, 0, first, k),
+                        start, count),
                 )
 
     @pytest.mark.parametrize("start", [0, 1, 2, 3, 6, 17, 4095])
@@ -250,7 +269,6 @@ class TestUniformMap:
         ref_cos, ref_sin = reference_pairs(words)
         np.testing.assert_array_equal(z_cos, ref_cos)
         np.testing.assert_array_equal(z_sin, ref_sin)
-        np.testing.assert_array_equal(_words_to_normals(words), ref_cos)
         z = np.concatenate([z_cos, z_sin])
         assert np.isfinite(z).all()
         assert (z != 0.0).all()
@@ -337,7 +355,8 @@ class TestBoxMuller:
 class TestKeyedNoise:
     def test_rows_match_scalar_streams(self):
         # Any row computed alone equals the same row of the block.  At step 0
-        # the keyed sequence is the scalar stream keyed by the role code.
+        # the keyed sequence is the scalar stream keyed by the code of x,
+        # whose draws interleave the x and y rows.
         noise = KeyedNoise(77)
         for role in ("x", "y"):
             block = noise.block(role, 6, 12, 5)
@@ -346,10 +365,11 @@ class TestKeyedNoise:
                     lambda key1: _philox_words(77, key1, 12, 5 * i, 5), role, 1, 5
                 )
                 np.testing.assert_array_equal(block[i], row[0])
-        block = noise.block("x", 6, 0, 5)
+        xs, ys = noise.block("x", 6, 0, 5), noise.block("y", 6, 0, 5)
         for i in range(6):
             np.testing.assert_array_equal(
-                block[i], standard_normal_block(77, int(_role_code("x")), 5 * i, 5))
+                np.stack([xs[i], ys[i]], axis=1).ravel(),
+                standard_normal_block(77, int(_role_code("x")), 10 * i, 10))
 
     def test_noise_independent_of_particle_count(self):
         noise = KeyedNoise(5)
@@ -365,23 +385,24 @@ class TestKeyedNoise:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_check_stream_ids_are_distinct_and_chain_addressed(self, monkeypatch):
-        # Every tag the suites draw from, seen at the call.  Each id equals the
-        # splitmix64 chain of (tag, particle 0, step 0), whose zero XORs are
-        # identities, so no probe point moves with the role-only signature.
+    def test_check_stream_ids_are_distinct_role_codes(self, monkeypatch):
+        # Every tag the suites draw from, seen at the call.
         tags = []
         monkeypatch.setattr(checks, "derive_stream_id",
                             lambda tag: tags.append(tag) or derive_stream_id(tag))
         checks.run_all_checks(seed=0)
         ids = {tag: int(derive_stream_id(tag)) for tag in tags}
         assert len(ids) == len(set(ids.values())) == 9
-        zero = _U64(0)
         for tag, stream_id in ids.items():
-            chain = rng._splitmix64(rng._splitmix64(
-                rng._splitmix64(_role_code(tag)) ^ zero) ^ zero)
-            assert stream_id == int(chain)
-        assert hex(ids["monotone"]) == "0x56218bc186d9dd26"
-        assert hex(ids["contraction"]) == "0x1f0831204d49688d"
+            assert stream_id == int(_role_code(tag))
+        assert not set(ids) & set(rng._PAIR_OF)
+
+    @pytest.mark.parametrize("role", ["x", "y", "init-x", "init-y"])
+    def test_stream_ids_refuse_the_particle_roles(self, role):
+        # The code of x keys the particle noise, so a probe stream under it
+        # would read the x/y blocks of step 0.
+        with pytest.raises(ValueError, match=f"^'{role}' is a particle noise role"):
+            derive_stream_id(role)
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):
@@ -395,7 +416,9 @@ class TestWholeStreamOracle:
         "seed,stream_id", [(0, 0), (9, 5), (2**64 - 1, 2**63 + 11)]
     )
     def test_any_range_matches_numpy_philox(self, seed, stream_id):
-        reference = reference_normals(numpy_philox_words(seed, stream_id, 64))
+        # Draws 0..63: both variates of each of numpy's words 0..31.
+        reference = np.stack(
+            reference_pairs(numpy_philox_words(seed, stream_id, 32)), axis=1).ravel()
         for start in range(0, 13):
             for count in (1, 3, 4, 5, 17, 64 - start):
                 np.testing.assert_array_equal(
@@ -432,10 +455,11 @@ class TestSharedGenerator:
                 ),
             )
             sid = (11, 2**63 + 7)[i % 2]
-            count = 2 * i + 1  # odd, so later draws start mid-block
+            count = 2 * i + 1  # odd, so later draws start mid-word
             np.testing.assert_array_equal(
                 standard_normal_block(3, sid, drawn[sid], count),
-                reference_normals(numpy_philox_words(3, sid, count, start=drawn[sid])),
+                reference_draws(lambda first, k: numpy_philox_words(3, sid, k, start=first),
+                                drawn[sid], count),
             )
             drawn[sid] += count
 
@@ -684,7 +708,7 @@ class TestNoiseSchemeGolden:
         "u1 = (hi32 + 0.5) * 2**-32, r = sqrt(-2 ln u1) in float64, "
         "theta = (float32(int32 lo32) + 0.5) * float32(2 pi / 2**32), "
         "first role r*cos32(theta), second role r*sin32(theta); "
-        "scalar streams take r*cos32(theta)"
+        "scalar stream draws 2j, 2j+1 = r*cos32(theta), r*sin32(theta) of word j"
     )
 
     def test_keyed_block(self):
@@ -705,8 +729,8 @@ class TestNoiseSchemeGolden:
 
     def test_scalar_stream(self):
         expected = [
-            "-0x1.964900a9f694dp-2", "0x1.f287304a351abp-1", "-0x1.2e711b339f811p+1",
-            "-0x1.e85bace2d35b9p-3", "-0x1.57ff6faf23738p+1",
+            "-0x1.964900a9f694dp-2", "-0x1.7aca78795046ap+0", "0x1.f287304a351abp-1",
+            "0x1.0dfb5decc1e66p+0", "-0x1.2e711b339f811p+1",
         ]
         draws = standard_normal_block(1, 2, 0, 5)
         assert [float(v).hex() for v in draws] == expected
