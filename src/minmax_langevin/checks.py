@@ -5,7 +5,8 @@ streams named by the suite's tag, so a given seed always probes the same
 points: a one-shot draw is the first normals of its stream (:func:`_normals`);
 the three pair inequalities of the drift b_Z (strong monotonicity, 2L
 Lipschitz, contraction of z + eta b_Z(z)) share one chunked sweep,
-:func:`_worst_over_pairs`; the functional and W2-triangle suites build each
+:func:`_worst_over_pairs`, which draws each chunk once for every payoff
+family it probes; the functional and W2-triangle suites build each
 law stack once and call each law function once; the second-moment run keeps
 its states and scores them in one stacked pass.  :func:`_result` names every
 result, ``title[<payoff class>]`` when a payoff is probed.  Every bound has a
@@ -72,31 +73,36 @@ def _result(title: str, spec, passed: bool, detail: str) -> CheckResult:
 
 # Probe pairs per drawn-and-drifted chunk.  The chunk bounds memory only:
 # drawing all 10,000 contraction pairs in one batch raises the peak RSS of
-# ``check --seed 8`` from 62.9 to 76.0 MB (+21%, on a 2-vCPU x86-64 Linux
-# host).  A pair's points depend on its index alone, not on the chunk.
+# the benchmark's check-suite workload from 61.8 to 74.9 MB (+21%), and of
+# an in-process ``check --seed 8`` from 42.0 to 56.0 MB (2-vCPU x86-64 Linux
+# host, numpy 2.4).  A pair's points depend on its index alone, not on the
+# chunk, and a chunk is drawn once for every payoff family it probes.
 _PROBE_CHUNK = 2000
 
 
-def _worst_over_pairs(spec, tag: str, seed: int, pairs: int, n: int, statistic):
-    """Max over random pairs of ``statistic(z1, z2, b1, b2)``, one value per row.
+def _worst_over_pairs(specs, tag: str, seed: int, pairs: int, n: int, statistic):
+    """Per spec, the max over random pairs of ``statistic(spec, z1, z2, b1,
+    b2)``, which gives one value per pair.
 
     Pair ``i`` is two joint vectors in R^{2nd}, z1 then z2: the ``tag``
     stream's draws ``2 i w .. 2 (i + 1) w - 1`` for ``w = 2nd``, scaled by 2.
-    b1 and b2 are the drift b_Z at them.
+    b1 and b2 are the spec's drift b_Z at them.  Each chunk of pairs is
+    drawn once and drifted under every spec, which must share one dim.
     """
     stream_id = derive_stream_id(tag)
-    d = spec.dim
+    d = specs[0].dim
     width = 2 * n * d
-    stats = []
+    stats = [[] for _ in specs]
     for start in range(0, pairs, _PROBE_CHUNK):
         m = min(_PROBE_CHUNK, pairs - start)
         z = 2.0 * standard_normal_block(
             seed, stream_id, 2 * start * width, 2 * m * width).reshape(m, 2, width)
         z1, z2 = z[:, 0], z[:, 1]
-        b1 = batched_joint_drift(spec, z1, n, d)
-        b2 = batched_joint_drift(spec, z2, n, d)
-        stats.append(statistic(z1, z2, b1, b2))
-    return float(np.max(np.concatenate(stats)))
+        for spec, spec_stats in zip(specs, stats):
+            b1 = batched_joint_drift(spec, z1, n, d)
+            b2 = batched_joint_drift(spec, z2, n, d)
+            spec_stats.append(statistic(spec, z1, z2, b1, b2))
+    return [float(np.max(np.concatenate(spec_stats))) for spec_stats in stats]
 
 
 def _stretch(dv, z1, z2):
@@ -131,43 +137,59 @@ def gradient_checks(dim: int = 2, seed: int = 0, points: int = 100):
             check_gradients(pert, tol=1e-6, seed=seed, points=points)]
 
 
-def check_monotonicity(spec: PayoffSpec, seed: int = 0):
-    """<b_Z(z) - b_Z(z'), z - z'> <= -alpha |z - z'|^2 on random pairs."""
-    alpha = spec.constants().alpha
-
-    def violation(z1, z2, b1, b2):
+# The three pair suites: each body probes a tuple of specs of one dim on one
+# sweep and returns one result per spec; the public check runs it on one.
+def _monotonicity(specs, seed: int):
+    def violation(spec, z1, z2, b1, b2):
+        alpha = spec.constants().alpha
         dz, db = z1 - z2, b1 - b2
         dist_sq = np.sum(dz * dz, axis=1)
         margin = np.sum(db * dz, axis=1) + alpha * dist_sq  # must be <= 0
         return margin / np.maximum(dist_sq, 1e-300)
 
-    worst = _worst_over_pairs(spec, "monotone", seed, 1000, 4, violation)
-    return _result("strong_monotonicity", spec, worst <= _REL_SLACK,
-                   f"max normalized violation {worst:.3e} over 1000 pairs")
+    worsts = _worst_over_pairs(specs, "monotone", seed, 1000, 4, violation)
+    return [_result("strong_monotonicity", spec, worst <= _REL_SLACK,
+                    f"max normalized violation {worst:.3e} over 1000 pairs")
+            for spec, worst in zip(specs, worsts)]
+
+
+def _lipschitz(specs, seed: int):
+    worsts = _worst_over_pairs(
+        specs, "lipschitz", seed, 1000, 4,
+        lambda spec, z1, z2, b1, b2: _stretch(b1 - b2, z1, z2),
+    )
+    bounds = [2.0 * spec.constants().smooth_L for spec in specs]
+    return [_result("drift_lipschitz", spec, worst <= bound * (1.0 + _REL_SLACK),
+                    f"max ratio {worst:.6f} vs 2L = {bound:.6f}")
+            for spec, worst, bound in zip(specs, worsts, bounds)]
+
+
+def _contraction(specs, seed: int):
+    def stretch(spec, z1, z2, b1, b2):
+        eta = spec.constants().eta_strict
+        return _stretch((z1 + eta * b1) - (z2 + eta * b2), z1, z2)
+
+    worsts = _worst_over_pairs(specs, "contraction", seed, 10_000, 8, stretch)
+    factors = [contraction_factor(c.alpha, c.smooth_L, c.eta_strict)
+               for c in (spec.constants() for spec in specs)]
+    return [_result("one_step_contraction", spec, worst <= m * (1.0 + 1e-10),
+                    f"max ratio {worst:.12f} vs M = {m:.12f} (10000 pairs)")
+            for spec, worst, m in zip(specs, worsts, factors)]
+
+
+def check_monotonicity(spec: PayoffSpec, seed: int = 0):
+    """<b_Z(z) - b_Z(z'), z - z'> <= -alpha |z - z'|^2 on random pairs."""
+    return _monotonicity((spec,), seed)[0]
 
 
 def check_lipschitz(spec: PayoffSpec, seed: int = 0):
     """|b_Z(z) - b_Z(z')| <= 2 L |z - z'| on random pairs."""
-    worst = _worst_over_pairs(
-        spec, "lipschitz", seed, 1000, 4,
-        lambda z1, z2, b1, b2: _stretch(b1 - b2, z1, z2),
-    )
-    bound = 2.0 * spec.constants().smooth_L
-    return _result("drift_lipschitz", spec, worst <= bound * (1.0 + _REL_SLACK),
-                   f"max ratio {worst:.6f} vs 2L = {bound:.6f}")
+    return _lipschitz((spec,), seed)[0]
 
 
 def check_contraction(spec: PayoffSpec, seed: int = 0):
     """|G(z) - G(z')| <= M |z - z'| at eta = alpha / (64 L^2)."""
-    c = spec.constants()
-    eta = c.eta_strict
-    m = contraction_factor(c.alpha, c.smooth_L, eta)
-    worst = _worst_over_pairs(
-        spec, "contraction", seed, 10_000, 8,
-        lambda z1, z2, b1, b2: _stretch((z1 + eta * b1) - (z2 + eta * b2), z1, z2),
-    )
-    return _result("one_step_contraction", spec, worst <= m * (1.0 + 1e-10),
-                   f"max ratio {worst:.12f} vs M = {m:.12f} (10000 pairs)")
+    return _contraction((spec,), seed)[0]
 
 
 def check_equilibrium_drift(spec: PayoffSpec):
@@ -307,8 +329,8 @@ def run_all_checks(seed: int = 0) -> list[CheckResult]:
     specs = default_specs(dim=2)
     return [
         *gradient_checks(seed=seed),
-        *(check(spec, seed=seed) for check in
-          (check_monotonicity, check_lipschitz, check_contraction) for spec in specs),
+        *(result for body in (_monotonicity, _lipschitz, _contraction)
+          for result in body(specs, seed)),
         *(check_equilibrium_drift(spec) for spec in specs),
         *(check(spec, seed=seed) for check in
           (check_permutation_equivariance, check_gd_envelope) for spec in specs),

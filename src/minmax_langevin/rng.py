@@ -43,9 +43,10 @@ at counter ``(j // 4 + 1, counter1, 0, 0)`` under key ``(seed, key1)``; the
 the words of the pair's steps ``k .. k+K-1`` (one ``_philox_words`` call
 each), one Box-Muller pass over them all, and both roles' rows, each served
 once at its address.  ``K`` is 1 without a horizon; with one, a slab stops
-at the horizon and at ``_SLAB_WORDS`` words.  A row has one-step bits, as
-numpy's ``log``, ``sqrt``, ``cos`` and ``sin`` give each element the same
-bits at any array length and offset.
+at the horizon, at ``_SLAB_WORDS`` words and at step ``2**64 - 1``, the last
+a counter word holds.  A row has one-step bits, as numpy's ``log``,
+``sqrt``, ``cos`` and ``sin`` give each element the same bits at any array
+length and offset.
 
 Every draw runs on one module-level generator: ``_philox_words`` sets its
 key, counter and empty output buffer, then reads the words, all while
@@ -141,11 +142,13 @@ def _polar(words):
     return r, theta
 
 
-def _words_to_pairs(words):
-    """Both variates of each word: ``(r cos theta, r sin theta)``."""
+def _words_to_pairs(words, out=None):
+    """Both variates of each word: ``(r cos theta, r sin theta)``, written
+    into the two arrays of ``out`` when it is given."""
     r, theta = _polar(words)
-    z_cos = np.multiply(r, np.cos(theta))
-    return z_cos, np.multiply(r, np.sin(theta, out=theta), out=r)
+    z_cos, z_sin = (None, r) if out is None else out
+    z_cos = np.multiply(r, np.cos(theta), out=z_cos)
+    return z_cos, np.multiply(r, np.sin(theta, out=theta), out=z_sin)
 
 
 def standard_normal_block(seed: int, stream_id: int, start: int, n: int) -> np.ndarray:
@@ -162,11 +165,15 @@ def standard_normal_block(seed: int, stream_id: int, start: int, n: int) -> np.n
         raise ValueError("start + n must be at most 2**67 - 8, the length of a stream")
     first = start // 2
     words = _philox_words(int(seed), int(stream_id), 0, first, (start + n + 1) // 2 - first)
-    return np.stack(_words_to_pairs(words), axis=1).ravel()[start % 2:start % 2 + n]
+    pairs = np.empty((len(words), 2))  # row j: the two draws of word first + j
+    _words_to_pairs(words, out=pairs.T)
+    return pairs.ravel()[start % 2:start % 2 + n]
 
 
 # The most words one slab draws, unless one step alone needs more.
 _SLAB_WORDS = 2**12
+# The last step a Philox counter word can address.
+_LAST_STEP = 2**64 - 1
 
 
 class KeyedNoise:
@@ -192,14 +199,17 @@ class KeyedNoise:
 
     def block(self, role: str, n: int, step: int, dim: int) -> np.ndarray:
         require("nonnegative", step=step)
+        if step > _LAST_STEP:
+            raise ValueError("step must be at most 2**64 - 1")
         served = self._slab.pop((role, n, step, dim), None)
         if served is not None:
             return served
         if role not in _PAIR_OF:
             raise ValueError(f"unknown noise role {role!r}; roles are {sorted(_PAIR_OF)}")
         pair, code = _PAIR_OF[role], _role_code(_PAIR_OF[role][0])
-        k = 1 if self.horizon is None else max(
-            1, min(int(self.horizon - step), _SLAB_WORDS // max(n * dim, 1)))
+        k = 1 if self.horizon is None else max(1, min(
+            int(self.horizon - step), _LAST_STEP + 1 - int(step),
+            _SLAB_WORDS // max(n * dim, 1)))
         words = np.concatenate([_philox_words(self.seed, code, step + j, 0, n * dim)
                                 for j in range(k)])
         slab = {(r, n, step + j, dim): row for r, z in zip(pair, _words_to_pairs(words))

@@ -106,3 +106,11 @@ class TestOutputGolden:
         assert _sha256(capsys.readouterr().out.encode()) == (
             "76555c887f98d3b833a18a6584751948e36f0a4beb7be2317342e835064c148d"
         )
+
+    @pytest.mark.parametrize("seed, expected", [
+        (0, "9d43571ab0d68427a0a287980bcde42d945867e12cb622bc6199210d31deffcc"),
+        (3, "0ec6aa70a87e008826fa8243472efeb73d4a88404780bf04b069023a4ece0644"),
+    ])
+    def test_check_stdout_at_more_seeds(self, capsys, seed, expected):
+        assert main(["check", "--seed", str(seed)]) == 0
+        assert _sha256(capsys.readouterr().out.encode()) == expected

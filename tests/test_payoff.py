@@ -60,6 +60,24 @@ class TestGrad:
             for j in range(7):
                 np.testing.assert_array_equal(batched[i, j], p.grad_x(xs[i], ys[j]))
 
+    @pytest.mark.parametrize("family", [0, 1], ids=["quadratic", "perturbed"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    @pytest.mark.parametrize("systems, rows",
+                             [(300, 8), (8, 2), (8, 64), (2, 64), (300, 1), (8, 1), (2, 1)])
+    def test_a_stack_has_the_bits_of_its_systems(self, family, dim, systems, rows):
+        # Dense matrices, so that the products round.  A stack of 8 or more
+        # multi-row systems runs as one gemm and must keep each system's gemm
+        # bits; a stack of one-row systems keeps numpy's gemv per row.
+        rng = np.random.default_rng(dim)
+        spd = [m @ m.T + dim * np.eye(dim) for m in rng.normal(size=(2, dim, dim))]
+        quad = QuadraticBilinear(dim=dim, A=spd[0], B=spd[1], C=rng.normal(size=(dim, dim)),
+                                 u=rng.normal(size=dim), v=rng.normal(size=dim))
+        spec = (quad, PerturbedQuadratic(base=quad, amplitude=0.1, frequency=1.0))[family]
+        x, y = rng.normal(size=(2, systems, rows, dim))
+        for grad in (spec.grad_x, spec.grad_y):
+            per_system = np.stack([grad(xi, yi) for xi, yi in zip(x, y)])
+            assert np.array_equal(grad(x, y), per_system)
+
     def test_dimension_mismatch_rejected(self):
         q = scalar_quadratic()
         with pytest.raises(ValueError):

@@ -404,6 +404,18 @@ class TestKeyedNoise:
         with pytest.raises(ValueError, match=f"^'{role}' is a particle noise role"):
             derive_stream_id(role)
 
+    def test_rejects_a_step_past_the_counter_word(self):
+        with pytest.raises(ValueError, match="^step must be at most 2\\*\\*64 - 1$"):
+            KeyedNoise(0).block("x", 1, 2**64, 1)
+
+    def test_a_slab_stops_at_the_last_step(self):
+        # The horizon lies past the last step a counter word holds.
+        noise = KeyedNoise(0, horizon=2**64 + 5)
+        last = noise.block("x", 1, 2**64 - 1, 1)
+        assert last.tobytes() == KeyedNoise(0).block("x", 1, 2**64 - 1, 1).tobytes()
+        assert noise.block("y", 1, 2**64 - 1, 1).tobytes() == (
+            KeyedNoise(0).block("y", 1, 2**64 - 1, 1).tobytes())
+
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):
             KeyedNoise(-1)
