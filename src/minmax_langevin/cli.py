@@ -173,6 +173,9 @@ def _cmd_gradcheck(args) -> int:
     except ValueError as exc:  # numpy cannot size the draw or the payoff
         raise ConfigError(f"--points {args.points}, --dim {args.dim}: numpy cannot "
                           f"size the gradient check: {exc}") from exc
+    except MemoryError as exc:  # numpy can size the draw but not allocate it
+        raise ConfigError(f"--points {args.points}, --dim {args.dim}: the gradient "
+                          f"check does not fit in memory: {exc}") from exc
     return EXIT_PROPERTY if _report(results) else EXIT_OK
 
 

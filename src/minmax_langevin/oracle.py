@@ -12,6 +12,11 @@ best-response map (:func:`gaussian_best_response`) is kept as an independent
 route to the same object: applying it once to the output of
 :func:`quadratic_equilibrium` must return the pair unchanged.
 
+The finite-(N, eta) chain of the quadratic family is linear too:
+:func:`particle_modes` splits it into the particle mean's mode and the
+deviation modes, and :func:`running_sq_distance_law` gives the exact mean and
+s.d. of the second-moment suite's running mean from that split.
+
 The remaining functions evaluate the bias/variance/initialization bounds and
 the parameter recipe used as one-sided acceptance envelopes.  Their numeric
 constants (45, 55, 2475, 7500, 270, 684, ...) are proof artifacts, not tight
@@ -37,6 +42,8 @@ __all__ = [
     "quadratic_equilibrium",
     "joint_equilibrium",
     "equilibrium_variance",
+    "particle_modes",
+    "running_sq_distance_law",
     "plan_parameters",
     "variance_and_fisher_bounds",
     "kl_bias_bound",
@@ -132,7 +139,7 @@ class GaussianDist:
 def _require_quadratic(spec: PayoffSpec) -> QuadraticBilinear:
     if not isinstance(spec, QuadraticBilinear):
         raise ValueError(
-            "closed-form equilibria exist only for the quadratic-bilinear family"
+            "closed-form laws exist only for the quadratic-bilinear family"
         )
     return spec
 
@@ -190,6 +197,61 @@ def equilibrium_variance(spec: PayoffSpec, tau: float) -> float:
     return float(
         tau * np.trace(np.linalg.inv(spec.A)) + tau * np.trace(np.linalg.inv(spec.B))
     )
+
+
+def particle_modes(spec: PayoffSpec, eta: float, n: int):
+    """The quadratic particle map z -> z + eta b_Z(z) about z*, split into
+    orthogonal modes ``(matrix, count)``: the particle mean's
+    ``G = [[I - eta A, -eta C], [eta C', I - eta B]]`` once, and each player's
+    deviations from it, ``I - eta A`` and ``I - eta B``, n - 1 times each.
+    Isotropic noise stays isotropic and independent across modes."""
+    spec = _require_quadratic(spec)
+    require("positive", eta=eta)
+    require("at least 1", n=n)
+    eye = np.eye(spec.dim)
+    mean_mode = np.block([[eye - eta * spec.A, -eta * spec.C],
+                          [eta * spec.C.T, eye - eta * spec.B]])
+    return (mean_mode, 1), (eye - eta * spec.A, n - 1), (eye - eta * spec.B, n - 1)
+
+
+def _powers(m: np.ndarray, k: int) -> np.ndarray:
+    """M^0 .. M^k as a (k + 1, n, n) stack, by doubling."""
+    stack, square = np.eye(len(m))[None], m
+    while len(stack) <= k:
+        stack = np.concatenate([stack, stack @ square])
+        square = square @ square
+    return stack[:k + 1]
+
+
+def running_sq_distance_law(spec: PayoffSpec, tau: float, eta: float, n: int,
+                            steps: int):
+    """Exact (mean, s.d.) of ``mean_{k=0..steps} |z_k - z*|^2`` for n particles
+    of the quadratic chain from N(z*, I), at step ``eta`` and temperature tau.
+
+    The modes of :func:`particle_modes` are independent, so their means and
+    variances add.  A mode M's coordinates e_k have covariance
+    ``V_k = M^k M'^k + 2 tau eta sum_{j<k} M^j M'^j`` and, for j >= l,
+    ``Cov(e_j, e_l) = M^{j-l} V_l``; with K = steps,
+
+        Var sum_k |e_k|^2 = 2 (2 sum_l tr(V_l^2 R_{K-l}) - sum_l |V_l|_F^2),
+
+    ``R_m = sum_{j<=m} M'^j M^j``.  Every sum is a cumulative sum over the
+    powers of M, so the cost is O(steps) small products, with no sum over
+    pairs of steps.
+    """
+    require("nonnegative", tau=tau, steps=steps)
+    total, var = 0.0, 0.0
+    for m, count in particle_modes(spec, eta, n):
+        power = _powers(m, steps)
+        power_t = power.swapaxes(1, 2)
+        outer = power @ power_t
+        cov = outer + 2.0 * tau * eta * (np.cumsum(outer, axis=0) - outer)
+        tail = np.cumsum(power_t @ power, axis=0)[::-1]  # R_{K-l} at row l
+        cov_sq = cov @ cov
+        total += count * np.einsum("kii->", cov)
+        var += count * 2.0 * (2.0 * np.einsum("kij,kji->", cov_sq, tail)
+                              - np.einsum("kii->", cov_sq))
+    return float(total) / (steps + 1), math.sqrt(var) / (steps + 1)
 
 
 @dataclass(frozen=True)

@@ -165,6 +165,15 @@ def test_every_suite_ends_in_a_verdict_under_a_nan_gradient(nan_grad_y, capsys):
     assert sum(line.startswith("[FAIL] ") for line in lines) == 16
 
 
+@pytest.mark.parametrize("seed", range(32))
+def test_the_second_moment_suite_passes_at_fresh_seeds(seed):
+    # Its exact line fails a correct chain at about 1e-4 of seeds (|z| > 4
+    # under the exact weighted chi-square law), so 32 seeds all pass.
+    result = checks.check_second_moment_stability(seed=seed)
+    assert result.passed, result.detail
+    assert "exact 33.69 +/- 1.16 (z = " in result.detail
+
+
 class TestSecondMomentBits:
     """The stacked pass scores each state with the bits of a per-step ``np.sum``.
 
@@ -199,7 +208,7 @@ class TestSecondMomentBits:
             on_checkpoint=lambda k, s: self.one_state(s.xs, s.ys, seen["z_pair"]),
         )
         reference = np.array([v for _, v in checkpoints])
-        assert reference.shape == (2001,)
+        assert reference.shape == (501,)
         assert seen["stacked"].tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("n", [1, 7, 16, 512])

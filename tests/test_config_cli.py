@@ -12,6 +12,7 @@ from minmax_langevin import (
     AlgorithmParams,
     ConfigError,
     KeyedNoise,
+    checks,
     coupled_contraction_run,
     load_snapshot,
     parse_config,
@@ -573,6 +574,21 @@ class TestCliEdgePaths:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: --points ")
         assert f"{flag} {value}" in captured.err
+        assert captured.out == ""
+
+    def test_gradcheck_out_of_memory_is_config_error(self, monkeypatch, capsys):
+        # A draw numpy can size but not allocate raises MemoryError; the
+        # patch raises it without reserving anything.
+        def out_of_memory(seed, stream_id, start, n):
+            raise MemoryError(f"Unable to allocate an array of {n} float64")
+
+        monkeypatch.setattr(checks, "standard_normal_block", out_of_memory)
+        assert main(["gradcheck", "--points", "100000000000000000", "--dim", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "config error: --points 100000000000000000, --dim 2: the gradient check "
+            "does not fit in memory: Unable to allocate an array of "
+            "400000000000000000 float64\n")
         assert captured.out == ""
 
     def test_plan_with_unrunnable_counts_is_config_error(self, capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_discrete_lyapunov
 
 from minmax_langevin import (
     GaussianDist,
@@ -18,7 +19,8 @@ from minmax_langevin import (
     variance_and_fisher_bounds,
 )
 from minmax_langevin.checks import default_specs
-from minmax_langevin.oracle import gibbs_product
+from minmax_langevin.dynamics import batched_joint_drift
+from minmax_langevin.oracle import gibbs_product, particle_modes, running_sq_distance_law
 
 
 def random_quadratic(rng, dim=None):
@@ -223,3 +225,80 @@ class TestBounds:
         eta = math.log(2.0) / k  # alpha * eta * k = ln 2 exactly
         value = transient_kl_envelope(1.0, 0.0, 1.0, 1.0, 1.0, eta, k, 0.0, 1)
         assert value == pytest.approx(0.5, rel=1e-12)
+
+
+class TestRunningSqDistanceLaw:
+    """The exact law of ``mean_{k=0..K} |z_k - z*|^2`` from N(z*, I), against
+    the joint 2Nd-dimensional chain read off the particle drift itself."""
+
+    @staticmethod
+    def joint_map(spec, eta, n):
+        # z -> z + eta b_Z(z) about z*: the drift's action on each basis vector.
+        w = 2 * n * spec.dim
+        drift = batched_joint_drift(spec, np.vstack([np.zeros(w), np.eye(w)]), n, spec.dim)
+        return np.eye(w) + eta * (drift[1:] - drift[0]).T
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_the_joint_chain(self, n, dim):
+        spec = random_quadratic(np.random.default_rng(10 * n + dim), dim=dim)
+        assert dim == 1 or not np.allclose(spec.C, spec.C.T)  # dense A, B too
+        tau, eta, steps = 0.7, 0.9 * spec.constants().eta_stable, 40
+        f = self.joint_map(spec, eta, n)
+        noise = 2.0 * tau * eta * np.eye(len(f))
+        covs = [np.eye(len(f))]
+        for _ in range(steps):
+            covs.append(f @ covs[-1] @ f.T + noise)
+        pair_sum = 0.0  # sum over j, l of 2 |Cov(e_j, e_l)|_F^2
+        for l, cov in enumerate(covs):
+            lagged = cov
+            for j in range(l, steps + 1):
+                pair_sum += (2.0 if j > l else 1.0) * 2.0 * np.sum(lagged**2)
+                lagged = f @ lagged
+        mean, sd = running_sq_distance_law(spec, tau, eta, n, steps)
+        assert mean == pytest.approx(sum(np.trace(c) for c in covs) / (steps + 1),
+                                     rel=1e-12)
+        assert sd == pytest.approx(math.sqrt(pair_sum) / (steps + 1), rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["suite", "dense"])
+    def test_stationary_limit_matches_lyapunov_solves(self, case):
+        if case == "suite":
+            spec, n, tau = default_specs(dim=1)[0], 16, 1.0
+            eta = spec.constants().alpha / (8.0 * spec.constants().smooth_L**2)
+        else:
+            spec, n, tau = random_quadratic(np.random.default_rng(7), dim=2), 3, 0.7
+            eta = 0.5 * spec.constants().eta_stable
+        steps = 20_000
+        f = self.joint_map(spec, eta, n)
+        eye = np.eye(len(f))
+        stationary = solve_discrete_lyapunov(f, 2.0 * tau * eta * eye)
+        # sum_k tr(V_k - V_inf) = tr X, X = F X F' + (I - V_inf): exact up
+        # to a tail of order |F|^(2 steps).
+        transient = solve_discrete_lyapunov(f, eye - stationary)
+        # Var sum_k |e_k|^2 -> steps * 2 (2 tr(V_inf^2 R) - |V_inf|_F^2),
+        # R = F' R F + I, up to O(1/steps) relative terms.
+        r = solve_discrete_lyapunov(f.T, eye)
+        per_step = 2.0 * (2.0 * np.trace(stationary @ stationary @ r)
+                          - np.sum(stationary**2))
+        mean, sd = running_sq_distance_law(spec, tau, eta, n, steps)
+        assert (steps + 1) * mean == pytest.approx(
+            (steps + 1) * np.trace(stationary) + np.trace(transient), rel=1e-10)
+        assert (steps + 1) * sd**2 == pytest.approx(per_step, rel=2e-3)
+
+    @pytest.mark.parametrize("steps, mean, sd", [(2000, 33.71, 0.58), (500, 33.69, 1.16)])
+    def test_suite_config_pins(self, steps, mean, sd):
+        quad, _ = default_specs(dim=1)
+        c = quad.constants()
+        law = running_sq_distance_law(quad, 1.0, c.alpha / (8.0 * c.smooth_L**2), 16, steps)
+        assert law == pytest.approx((mean, sd), abs=0.01)
+
+    def test_modes_of_one_particle_are_its_mean(self):
+        spec = random_quadratic(np.random.default_rng(3), dim=2)
+        (g, one), (_, zero_x), (_, zero_y) = particle_modes(spec, 0.01, 1)
+        assert (one, zero_x, zero_y) == (1, 0, 0)
+        assert np.allclose(g, self.joint_map(spec, 0.01, 1), rtol=0, atol=1e-15)
+
+    def test_rejects_the_perturbed_family(self):
+        _, pert = default_specs(dim=1)
+        with pytest.raises(ValueError, match="quadratic-bilinear"):
+            running_sq_distance_law(pert, 1.0, 0.01, 4, 10)
