@@ -1,11 +1,12 @@
 """Experiment orchestration: warm start, particle run, metrics, CSV report.
 
 A run executes, in order: (1) equilibrium warm start when requested, (2)
-i.i.d. Gaussian particle initialization from keyed noise streams, (3) the
-particle algorithm with metric checkpoints, and (4), for quadratic payoffs,
-attachment of the one-sided theory envelopes to every checkpoint row.
+i.i.d. Gaussian particle initialization from keyed noise streams, (3) for
+quadratic payoffs, the statistics the config alone fixes (exact variance,
+initial KL and W2, bias bound, KL envelope), and (4) the particle algorithm
+with metric checkpoints, each row carrying step (3)'s envelopes.
 
-In step (3) a checkpoint keeps only what needs the live state: the snapshot,
+In step (4) a checkpoint keeps only what needs the live state: the snapshot,
 the sample moments, the coupling distance and the wall time.  Captures are
 scored ``_SCORE_CHUNK`` at a time: the fits as one stacked ``GaussianDist``,
 then one KL, W2 and gap call, each row with the bits its own call would give.
@@ -169,13 +170,22 @@ def _numpy_simd() -> dict:
 
 @contextmanager
 def _overflow_raises(error: Exception):
-    """Raise ``error`` for a numpy overflow or invalid operation: the inputs
-    are finite, so only those can make a statistic of them nonfinite."""
+    """The overflow rule: raise ``error`` (a named ``ConfigError`` before the first
+    step, a ``DivergenceError`` at a checkpoint) where a statistic of finite inputs
+    comes out nonfinite: a numpy overflow or invalid operation, a Python-float
+    ``ZeroDivisionError`` or ``OverflowError``, or a value ``_finite`` rejects."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except FloatingPointError:
+    except ArithmeticError:
         raise error from None
+
+
+def _finite(value):
+    """``value``, or ``FloatingPointError`` if it is not finite (a Python-float overflow)."""
+    if not np.isfinite(value).all():
+        raise FloatingPointError
+    return value
 
 
 def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
@@ -208,34 +218,29 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
         raise ConfigError(f"tau, payoff: the equilibrium reference N(z*, tau H^-1) "
                           f"is degenerate (an eigenvalue <= {PSD_CLIP:g})")
 
-    # Theory envelopes only exist for the quadratic family with a Gaussian
-    # initialization law and positive temperature.
-    envelope = None
-    bias_value = None
+    # Theory envelopes only exist for the quadratic family with a Gaussian init
+    # law and tau > 0.  Set by the config alone, they are checked before any step.
+    envelope = bias_value = None
     if quadratic and config.tau > 0.0 and init_law is not None:
-        # These depend on the config alone, so their overflow is its error.
+        init_keys = "tau, init.mean, init.cov_scale"
         with _overflow_raises(ConfigError(
-                "tau, init.cov_scale: the exact variance or initial KL/W2 "
-                "overflows")):
+                f"{init_keys}: the exact variance or initial KL/W2 overflows")):
             var_exact = equilibrium_variance(spec, config.tau)
             kl0 = gaussian_kl(init_law, reference)
             w20 = gaussian_w2(init_law, reference)
-        # A Python float: it overflows to inf, or divides by alpha**3 = 0, unseen.
-        try:
-            bias_value = kl_bias_bound(
-                constants.alpha, constants.smooth_L, config.tau, d, n, eta, var_exact
-            )
-        except ZeroDivisionError:
-            bias_value = np.inf
-        if not np.isfinite(bias_value):
-            raise ConfigError(f"payoff: bias_bound is not finite (alpha = "
-                              f"{constants.alpha:g}, L = {constants.smooth_L:g})")
+        with _overflow_raises(ConfigError(f"payoff: bias_bound is not finite (alpha = "
+                                          f"{constants.alpha:g}, L = {constants.smooth_L:g})")):
+            bias_value = _finite(kl_bias_bound(constants.alpha, constants.smooth_L,
+                                               config.tau, d, n, eta, var_exact))
 
         def envelope(step: int) -> float:
-            return transient_kl_envelope(
-                n * kl0, n * w20, constants.alpha, constants.smooth_L,
-                config.tau, eta, step, bias_value, n,
-            )
+            # N i.i.d. particles: joint KL_0 = N kl0 and W2_0^2 = N w20, divided by N.
+            return transient_kl_envelope(kl0, w20, constants.alpha, constants.smooth_L,
+                                         config.tau, eta, step, bias_value, 1)
+
+        # Step 0 bounds every row: exp(-alpha eta k) <= 1.
+        with _overflow_raises(ConfigError(f"{init_keys}: envelope_kl is not finite")):
+            _finite(envelope(0))
 
     # A checkpoint captures in the loop what needs the live state; buffered
     # captures are scored _SCORE_CHUNK at a time in one stacked pass.
@@ -261,9 +266,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
         pass, the rows with no fit, a degenerate fit or no reference left out."""
         k = len(chunk)
         means = np.array([c.avg_mean for c in chunk])
-        gaps = duality_gap_bound(spec, JointPoint(x=means[:, :d], y=means[:, d:]))
-        if not np.isfinite(gaps).all():  # a Python-float quotient overflowed
-            raise FloatingPointError("grad_gap_bound is not finite")
+        gaps = _finite(duality_gap_bound(spec, JointPoint(x=means[:, :d], y=means[:, d:])))
         traces, kls, w2s = [0.0] * k, [None] * k, [None] * k
         if chunk[0].cov is not None:
             fits = GaussianDist(mean=means, cov=np.array([c.cov for c in chunk]))
@@ -296,7 +299,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
         chunk = captured[:]
         captured.clear()
         try:
-            with np.errstate(over="raise", invalid="raise"):
+            with _overflow_raises(FloatingPointError()):
                 records.extend(score(chunk))
         except FloatingPointError:
             # Each row's statistics are its own: re-scored one at a time, the
@@ -318,9 +321,6 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
         raise
     loop_seconds = time.perf_counter() - t_loop - score_seconds
     flush()
-    # Step 0 bounds every row; checked last so an overflowing row names its step.
-    if envelope is not None and not np.isfinite(envelope(0)):
-        raise ConfigError("tau, init.cov_scale: envelope_kl is not finite")
     t_write = time.perf_counter()
     final_state = final.system(0)
     if config.snapshots == "final":

@@ -14,6 +14,7 @@ from minmax_langevin import (
     KeyedNoise,
     checks,
     coupled_contraction_run,
+    experiment,
     load_snapshot,
     parse_config,
     run_experiment,
@@ -23,6 +24,8 @@ from minmax_langevin import (
 from minmax_langevin.cli import main
 from minmax_langevin.dynamics import ParticleState
 from minmax_langevin.experiment import csv_header, initial_state
+from minmax_langevin.metrics import gaussian_kl, gaussian_w2
+from minmax_langevin.oracle import joint_equilibrium, transient_kl_envelope
 
 MINIMAL = """
 payoff.kind = QuadraticBilinear
@@ -44,6 +47,10 @@ def minimal_config(tmp_path, **extra_lines):
     for key, value in extra_lines.items():
         text += f"{key.replace('__', '.')} = {value}\n"
     return text
+
+
+# A finite per-particle KL and W2 whose envelope overflows (minimal config, N = 8).
+ENVELOPE_OVERFLOW = {"init.mean_mode": "explicit", "init.mean": "[5.5e153, 0.0]"}
 
 
 def config_with(tmp_path, settings):
@@ -279,6 +286,28 @@ class TestRunArtifacts:
                                                             checkpoint_every=30)))
         rec = bundle.records[-1]
         assert rec.envelope_kl is not None and rec.envelope_kl >= rec.bias_bound
+
+    # The run feeds one particle's divergences with N = 1 (the joint ones are N
+    # times them, and the formula divides by N): the same bits at a power of
+    # two, at most a last-bit rounding apart at other N.
+    @pytest.mark.parametrize("n, rel", [(512, 0.0), (3, 1e-15), (100, 1e-15)])
+    def test_envelope_is_the_joint_state_formula(self, tmp_path, n, rel):
+        cfg = parse_config(config_with(tmp_path, {
+            "algorithm.n_particles": str(n), "init.mean_mode": "explicit",
+            "init.mean": "[3.0, -2.0]", "init.cov_scale": "0.3"}))
+        law = initial_state(cfg, cfg.init, KeyedNoise(cfg.seed))[1]
+        reference = joint_equilibrium(cfg.payoff, cfg.tau)
+        kl0, w20 = gaussian_kl(law, reference), gaussian_w2(law, reference)
+        c = cfg.payoff.constants()
+        records = run_experiment(cfg).records
+        assert len(records) == 61
+        for rec in records:
+            joint = transient_kl_envelope(n * kl0, n * w20, c.alpha, c.smooth_L, cfg.tau,
+                                          cfg.algorithm.eta, rec.step, rec.bias_bound, n)
+            if rel == 0.0:
+                assert rec.envelope_kl == joint
+            else:
+                assert rec.envelope_kl == pytest.approx(joint, rel=rel, abs=0.0)
 
     def test_perturbed_runs_label_proxy_reference(self, tmp_path):
         text = minimal_config(tmp_path, payoff__amplitude="0.1",
@@ -720,7 +749,7 @@ class TestExtremeFiniteInputs:
     # On a quadratic payoff the exact statistics, set from the config before
     # any step, overflow first; a perturbed payoff has none, so the fit does.
     @pytest.mark.parametrize("kind, code, message", [
-        ("QuadraticBilinear", 2, "config error: tau, init.cov_scale: "),
+        ("QuadraticBilinear", 2, "config error: tau, init.mean, init.cov_scale: "),
         ("PerturbedQuadratic", 3, "divergence: step 0: checkpoint statistics overflowed"),
     ], ids=["quadratic", "perturbed"])
     @pytest.mark.parametrize("settings", [
@@ -746,9 +775,8 @@ class TestExtremeFiniteInputs:
     # they overflowed to inf in every row (exit 0), or divided by an alpha**3
     # that underflowed to 0 (a ZeroDivisionError traceback, exit 1).
     @pytest.mark.parametrize("settings, code, message", [
-        ({"algorithm.n_particles": "512", "algorithm.steps": "3", "checkpoint_every": "1",
-          "init.mean_mode": "zero", "init.cov_scale": "1e305"},
-         2, "config error: tau, init.cov_scale: envelope_kl is not finite"),
+        (ENVELOPE_OVERFLOW, 2, "config error: tau, init.mean, init.cov_scale: "
+                               "envelope_kl is not finite"),
         ({"tau": "0", "payoff.A": "[0.1]", "payoff.C": "[0.0]", "algorithm.n_particles": "4",
           "algorithm.steps": "2", "init.mean_mode": "explicit", "init.mean": "[0.0, 1e154]",
           "init.cov_scale": "1.0"},
@@ -767,3 +795,37 @@ class TestExtremeFiniteInputs:
         cfg_path.write_text(config_with(tmp_path, settings))
         assert main(["run", "--config", str(cfg_path)]) == code
         assert capsys.readouterr().err.startswith(message)
+
+    # The envelope takes one particle's divergences, so it is finite here
+    # although the joint ones, N times them, overflow.
+    def test_envelope_of_a_wide_init_is_finite(self, tmp_path):
+        settings = {"algorithm.n_particles": "512", "algorithm.steps": "3",
+                    "checkpoint_every": "1", "init.mean_mode": "zero",
+                    "init.cov_scale": "1e305"}
+        cfg_path = tmp_path / "wide.cfg"
+        cfg_path.write_text(config_with(tmp_path, settings))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        header, *rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+        column = header.split(",").index("envelope_kl")
+        envelopes = [float(row.split(",")[column]) for row in rows]
+        assert len(envelopes) == 4 and np.isfinite(envelopes).all()
+        assert envelopes[0] == pytest.approx(2.35e306, rel=1e-12)
+
+    # Every statistic the config alone fixes is checked before the first step.
+    @pytest.mark.parametrize("settings, message", [
+        (ENVELOPE_OVERFLOW, "tau, init.mean, init.cov_scale: envelope_kl is not finite"),
+        ({"payoff.A": "[1e-105]", "payoff.C": "[0.0]", "algorithm.eta": "1e-106"},
+         "payoff: bias_bound is not finite"),
+        ({"init.mean_mode": "explicit", "init.mean": "[1e160, 0.0]"},
+         "tau, init.mean, init.cov_scale: the exact variance or initial KL/W2 overflows"),
+        ({"tau": "1e308"},
+         "tau, init.mean, init.cov_scale: the exact variance or initial KL/W2 overflows"),
+    ], ids=["envelope", "bias", "init-mean", "tau"])
+    def test_config_statistics_fail_before_the_first_step(self, tmp_path, capsys,
+                                                          monkeypatch, settings, message):
+        monkeypatch.setattr(experiment, "run_algorithm",
+                            lambda *args, **kwargs: pytest.fail("the run stepped"))
+        cfg_path = tmp_path / "extreme.cfg"
+        cfg_path.write_text(config_with(tmp_path, settings))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
