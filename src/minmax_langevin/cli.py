@@ -136,11 +136,12 @@ def _cmd_couple(args) -> int:
     print(f"metrics:  {bundle.csv_path}")
     print(f"M^2 = {m_sq:.12f}; checkpoint coupling distances: "
           f"{dists[0]:.3e} -> {dists[-1]:.3e}")
-    # Certified decay: each checkpoint must sit under M^(2k) * initial.
+    # Certified decay: each checkpoint must sit under M^(2k) * initial, a
+    # comparison that a NaN distance fails.
     initial = dists[0]
     for record in bundle.records:
         cap = initial * m_sq ** record.step
-        if record.coupling_dist_sq > cap * (1.0 + 1e-9) + 1e-300:
+        if not record.coupling_dist_sq <= cap * (1.0 + 1e-9) + 1e-300:
             print(
                 f"coupling decay violated at step {record.step}: "
                 f"{record.coupling_dist_sq:.6e} > {cap:.6e}",

@@ -382,10 +382,10 @@ def transient_kl_envelope(
     smooth_l: float,
     tau: float,
     eta: float,
-    k: int,
+    k: int | list[int],
     bias: float,
     n_particles: int,
-) -> float:
+) -> float | list[float]:
     """Average-particle KL envelope at step k:
 
         exp(-alpha eta k) * (KL_0 + 9 L^2 / (alpha tau) * W2_0^2) / N + bias
@@ -393,11 +393,20 @@ def transient_kl_envelope(
     where KL_0 and W2_0^2 are the joint-state divergences of the particle
     initialization from the tensorized equilibrium (for i.i.d. Gaussian
     initialization, N times the per-particle quantities).
+
+    ``k`` may be a sequence of steps: the arguments are then checked once and
+    the result is a list, each entry the bits of its own scalar call.
     """
+    scalar = np.ndim(k) == 0
+    steps = [k] if scalar else list(k)
+    # The smallest step, or NaN if a step is NaN (np.min propagates it): one
+    # check covers every step.
     require("nonnegative", initial_kl=initial_kl, initial_w2_sq=initial_w2_sq,
-            bias=bias, k=k)
+            bias=bias, k=np.min(steps, initial=0))
     Constants(alpha, smooth_l)
     require("positive", tau=tau, eta=eta)
     require("at least 1", n_particles=n_particles)
     transient = initial_kl + 9.0 * smooth_l**2 * initial_w2_sq / (alpha * tau)
-    return math.exp(-alpha * eta * k) * transient / n_particles + bias
+    values = [math.exp(-alpha * eta * step) * transient / n_particles + bias
+              for step in steps]
+    return values[0] if scalar else values

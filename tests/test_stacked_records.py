@@ -231,7 +231,8 @@ class TestChunkedRun:
         config = parse_config(COUPLED_DENSE.format(n=8, steps=20))
         bundle = run_experiment(config, tmp_path)
         timings = json.loads(bundle.manifest_path.read_text())["timings"]
-        assert list(timings) == ["setup_s", "loop_s", "score_s", "write_s", "steps_per_s"]
+        assert list(timings) == ["setup_s", "loop_s", "capture_s", "score_s", "write_s",
+                                 "steps_per_s"]
         assert all(value >= 0.0 for value in timings.values())
         assert timings["steps_per_s"] == pytest.approx(20 / timings["loop_s"])
 
