@@ -29,6 +29,7 @@ fixed numpy reduction over the particle axis) never varies between runs.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -85,8 +86,9 @@ class ParticleState:
                 f"and {ys.shape}"
             )
         require("nonnegative", step=self.step)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        if xs is not self.xs or ys is not self.ys:
+            object.__setattr__(self, "xs", xs)
+            object.__setattr__(self, "ys", ys)
 
     @property
     def n_particles(self) -> int:
@@ -222,7 +224,7 @@ def step_algorithm(
     xs = state.xs + params.eta * b_x
     ys = state.ys + params.eta * b_y
     if params.tau > 0.0:
-        scale = np.sqrt(2.0 * params.tau * params.eta)
+        scale = math.sqrt(2.0 * params.tau * params.eta)
         xs += scale * noise.block("x", n, state.step, d)
         ys += scale * noise.block("y", n, state.step, d)
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):

@@ -16,8 +16,9 @@ Two families are provided:
 
 Every function of payoff points broadcasts over ``(..., d)`` inputs, and
 ``curvature(z)`` gives the Hessian blocks ``(∇²ₓₓV, −∇²ᵧᵧV)`` at one point.
-In ``grad_x`` and ``grad_y``, a stack of at least 8 systems of at least two
-rows each meets each matrix in one gemm, with every system's own bits.
+In ``grad_x`` and ``grad_y``, a cloud or a stack of any number of systems of
+at least two rows each meets each matrix in one gemm through ``np.dot``,
+with every system's own ``@`` bits.
 Matrices and vectors must be finite.  The particle drift also relies on
 ``grad_x`` being affine in ``y`` and ``grad_y`` affine in ``x`` (true here:
 the cross term ``x'Cy`` is bilinear and the ripple is separable), so an
@@ -120,21 +121,20 @@ def _as_array(value, shape: tuple, name: str) -> np.ndarray:
     return value
 
 
-# The fewest systems a stack needs for one gemm to beat numpy's small gemm
-# per system (the two break even at about 6 systems of 4 to 64 rows, d = 2
-# and 8; two systems of 64 rows ran 0.9 us slower as one gemm).
-_GEMM_SYSTEMS = 8
-
-
 def _times(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``v @ m`` for a square payoff matrix ``m``.  A stack of at least
-    ``_GEMM_SYSTEMS`` systems of at least two rows each runs as one
-    ``(systems * rows, d)`` gemm, with each system's own gemm bits.  Any
-    other ``v`` keeps ``@``: a stack of one-row systems runs as a gemv per
-    row, whose bits one gemm does not reproduce."""
-    if v.ndim > 2 and v.shape[-2] > 1 and math.prod(v.shape[:-2]) >= _GEMM_SYSTEMS:
-        return (v.reshape(-1, v.shape[-1]) @ m).reshape(v.shape)
-    return v @ m
+    """``v @ m`` for a square payoff matrix ``m``, with ``@``'s bits.  A
+    cloud or a stack of systems of at least two rows each runs as one
+    ``np.dot`` on its ``(rows, d)`` view: one gemm, at less than half of
+    ``matmul``'s call cost when ``d = 1``.  One row per system keeps ``@``:
+    a stack of rows runs as a gemv per row, whose bits one gemm does not
+    reproduce, and ``np.dot`` of a lone element by a 1 x 1 ``m`` is a bare
+    product, ``-0.0`` for ``0.0`` times a negative entry where ``@`` gives
+    ``+0.0``."""
+    if v.ndim == 1 or v.shape[-2] == 1:
+        return v @ m
+    if v.ndim == 2:  # unreshaped: at 16 rows two views cost more than np.dot saves
+        return np.dot(v, m)
+    return np.dot(v.reshape(-1, v.shape[-1]), m).reshape(v.shape)
 
 
 @dataclass(frozen=True, eq=False)

@@ -198,12 +198,13 @@ class KeyedNoise:
         self._slab = {}
 
     def block(self, role: str, n: int, step: int, dim: int) -> np.ndarray:
-        require("nonnegative", step=step)
-        if step > _LAST_STEP:
-            raise ValueError("step must be at most 2**64 - 1")
+        # Only a checked miss writes slab keys, so a hit needs no checks.
         served = self._slab.pop((role, n, step, dim), None)
         if served is not None:
             return served
+        require("nonnegative", step=step)
+        if step > _LAST_STEP:
+            raise ValueError("step must be at most 2**64 - 1")
         if role not in _PAIR_OF:
             raise ValueError(f"unknown noise role {role!r}; roles are {sorted(_PAIR_OF)}")
         pair, code = _PAIR_OF[role], _role_code(_PAIR_OF[role][0])
