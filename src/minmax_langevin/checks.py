@@ -28,6 +28,7 @@ import numpy as np
 
 from .deterministic import JointPoint, gd_rate_audit, solve_equilibrium
 from .dynamics import (
+    AlgorithmParams,
     ParticleState,
     batched_joint_drift,
     contraction_factor,
@@ -210,6 +211,8 @@ def check_equilibrium_drift(spec: PayoffSpec):
 
 def check_permutation_equivariance(spec: PayoffSpec, seed: int = 0):
     """Permuting particles permutes the drift rows identically."""
+    # Imported at call time: perfbench/tracer.py patches drift_particles in
+    # dynamics' globals, and a module-level import would bind the unpatched one.
     from .dynamics import drift_particles
 
     xs, ys = 2.0 * _normals(seed, "permute", 2, 6, spec.dim)
@@ -279,7 +282,9 @@ def check_second_moment_stability(seed: int = 0):
     mean (:func:`running_sq_distance_law`), which a chain at the wrong
     temperature misses; the run's states are kept (no copy) and scored in
     one stacked pass."""
-    from .dynamics import AlgorithmParams, run_algorithm
+    # Imported at call time: perfbench/tracer.py patches run_algorithm in
+    # dynamics' globals, and a module-level import would bind the unpatched one.
+    from .dynamics import run_algorithm
 
     quad, _ = default_specs(dim=1)
     c = quad.constants()

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .payoff import PayoffSpec, QuadraticBilinear, require, unstacked
+from .payoff import PayoffSpec, QuadraticBilinear, require, same_fields, unstacked
 
 __all__ = [
     "JointPoint",
@@ -34,13 +34,15 @@ class EnvelopeViolation(RuntimeError):
     """A measured trajectory exceeded its certified decay envelope."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointPoint:
     """A joint point z = (x, y) of the two players, or a stack of them:
     ``(..., d)`` arrays whose leading axes index the points."""
 
     x: np.ndarray
     y: np.ndarray
+
+    __eq__ = same_fields
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)

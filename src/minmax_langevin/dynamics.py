@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deterministic import JointPoint
-from .payoff import Constants, PayoffSpec, require
+from .payoff import Constants, PayoffSpec, require, same_fields
 from .rng import KeyedNoise
 
 __all__ = [
@@ -69,13 +69,15 @@ class DivergenceError(RuntimeError):
         self.step = step
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParticleState:
     """Particle clouds ``xs``, ``ys`` of shape (..., N, d) plus a step counter."""
 
     xs: np.ndarray
     ys: np.ndarray
     step: int = 0
+
+    __eq__ = same_fields
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)

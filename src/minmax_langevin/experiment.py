@@ -88,7 +88,7 @@ class _Capture(NamedTuple):
     step: int
     wall_time: float
     avg_mean: np.ndarray
-    cov: np.ndarray | None
+    cov: np.ndarray
     distance: float | None
 
 
@@ -259,7 +259,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
             save_snapshot(out / f"snapshot_{step:08d}.csv", stack.system(0))
         pairs = np.concatenate([stack.xs[0], stack.ys[0]], axis=1)  # system A's (x^i, y^i)
         with _overflow_raises(DivergenceError(step, "checkpoint statistics overflowed")):
-            avg_mean, cov = fit_gaussian(pairs) if n >= 2 else (pairs.mean(axis=0), None)
+            avg_mean, cov = fit_gaussian(pairs)
             distance = coupling_distance_sq(stack) if coupled else None
         now = time.perf_counter()
         captured.append(_Capture(step, now - t_start, avg_mean, cov, distance))
@@ -269,22 +269,21 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
 
     def score(chunk: list) -> list:
         """The chunk's MetricsRecords: trace, KL, W2 and gap in one stacked
-        pass, the rows with no fit, a degenerate fit or no reference left out."""
+        pass, KL and W2 left out for a degenerate fit (all at N = 1) or no reference."""
         k = len(chunk)
         envelopes = envelope([c.step for c in chunk]) if envelope is not None else [None] * k
         means = np.array([c.avg_mean for c in chunk])
         gaps = _finite(duality_gap_bound(spec, JointPoint(x=means[:, :d], y=means[:, d:])))
-        traces, kls, w2s = [0.0] * k, [None] * k, [None] * k
-        if chunk[0].cov is not None:
-            fits = GaussianDist(mean=means, cov=np.array([c.cov for c in chunk]))
-            traces = np.trace(fits.cov, axis1=1, axis2=2).tolist()
-            rows = np.flatnonzero(~fits.degenerate)
-            if reference is not None and rows.size:
-                if rows.size < k:  # no degenerate fit reaches KL or W2
-                    fits = GaussianDist(mean=means[rows], cov=fits.cov[rows])
-                for i, kl, w2 in zip(rows.tolist(), gaussian_kl(fits, reference).tolist(),
-                                     gaussian_w2(fits, reference).tolist()):
-                    kls[i], w2s[i] = kl, w2
+        kls, w2s = [None] * k, [None] * k
+        fits = GaussianDist(mean=means, cov=np.array([c.cov for c in chunk]))
+        traces = np.trace(fits.cov, axis1=1, axis2=2).tolist()
+        rows = np.flatnonzero(~fits.degenerate)
+        if reference is not None and rows.size:
+            if rows.size < k:  # no degenerate fit reaches KL or W2
+                fits = GaussianDist(mean=means[rows], cov=fits.cov[rows])
+            for i, kl, w2 in zip(rows.tolist(), gaussian_kl(fits, reference).tolist(),
+                                 gaussian_w2(fits, reference).tolist()):
+                kls[i], w2s[i] = kl, w2
         return [MetricsRecord(
             step=c.step,
             wall_time=c.wall_time,

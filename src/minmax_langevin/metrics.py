@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import GaussianDist, sqrtm_psd
-from .payoff import require, unstacked
+from .payoff import require, same_fields, unstacked
 # standard_normal_block stays bound: perfbench/tracer.py patches it by name.
 from .rng import standard_normal_block
 
@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class MetricsRecord:
     """Per-checkpoint diagnostics; optional fields stay None when unused."""
 
@@ -45,6 +45,8 @@ class MetricsRecord:
     envelope_kl: float | None = None
     bias_bound: float | None = None
 
+    __eq__ = same_fields
+
     def __post_init__(self):
         for name in ("kl_fit_to_eq", "w2_fit_to_eq_sq"):
             if getattr(self, name) is not None:
@@ -52,18 +54,19 @@ class MetricsRecord:
 
 
 def fit_gaussian(samples: np.ndarray):
-    """Plug-in Gaussian moments: sample mean and unbiased (n-1) covariance.
+    """Plug-in Gaussian moments of n >= 1 samples: the sample mean and the
+    covariance over ``max(n - 1, 1)``: unbiased, or zero for one sample.
 
     Returns ``(mean, cov)``, ``cov`` symmetrized.  The fitted law is
     ``GaussianDist(*fit_gaussian(x))``; its ``degenerate`` flag marks a
     rank-deficient covariance (smallest eigenvalue at or below the PSD clip).
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[0] < 2:
-        raise ValueError("need an (n, m) sample matrix with n >= 2")
+    if samples.ndim != 2 or samples.shape[0] < 1:
+        raise ValueError("need an (n, m) sample matrix with n >= 1")
     mean = np.add.reduce(samples, axis=0) / samples.shape[0]  # np.mean's bits
     centered = samples - mean
-    cov = centered.T @ centered / (samples.shape[0] - 1)
+    cov = centered.T @ centered / max(samples.shape[0] - 1, 1)
     return mean, 0.5 * (cov + cov.T)
 
 

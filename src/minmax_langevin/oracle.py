@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .deterministic import JointPoint, solve_equilibrium
-from .payoff import Constants, PayoffSpec, QuadraticBilinear, require, unstacked
+from .payoff import Constants, PayoffSpec, QuadraticBilinear, require, same_fields, unstacked
 
 __all__ = [
     "GaussianDist",
@@ -82,6 +82,8 @@ class GaussianDist:
     cov: np.ndarray
     degenerate: bool = field(init=False, repr=False)
 
+    __eq__ = same_fields
+
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
@@ -127,13 +129,6 @@ class GaussianDist:
     @property
     def dim(self) -> int:
         return self.mean.shape[-1]
-
-    def __eq__(self, other):
-        if not isinstance(other, GaussianDist):
-            return NotImplemented
-        return np.array_equal(self.mean, other.mean) and np.array_equal(
-            self.cov, other.cov
-        )
 
 
 def _require_quadratic(spec: PayoffSpec) -> QuadraticBilinear:

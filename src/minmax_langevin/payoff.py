@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -66,6 +66,17 @@ def require(rule: str, **values) -> None:
 def unstacked(value):
     """A 0-d numpy result as a Python float or bool; a stacked one unchanged."""
     return value.item() if value.ndim == 0 else value
+
+
+def same_fields(self, other):
+    """``__eq__`` of a dataclass that holds arrays: the same type and every
+    field equal, arrays by ``np.array_equal``.  Set in the body of a
+    ``dataclass(eq=False)``, it leaves the class unhashable."""
+    if type(other) is not type(self):
+        return NotImplemented
+    pairs = [(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)]
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+               else a == b for a, b in pairs)
 
 
 # How the constants are computed, as run manifests record it; a change to the
@@ -148,6 +159,8 @@ class QuadraticBilinear:
     u: np.ndarray = None
     v: np.ndarray = None
 
+    __eq__ = same_fields
+
     def __post_init__(self):
         require("at least 1", dim=self.dim)
         square, vector = (self.dim, self.dim), (self.dim,)
@@ -167,14 +180,6 @@ class QuadraticBilinear:
         eig_h = np.linalg.eigvalsh(self.hessian_joint())
         constants = Constants(float(min(lmin)), float(np.abs(eig_h).max()))
         object.__setattr__(self, "_constants", constants)
-
-    def __eq__(self, other):
-        if not isinstance(other, QuadraticBilinear):
-            return NotImplemented
-        return self.dim == other.dim and all(
-            np.array_equal(getattr(self, f), getattr(other, f))
-            for f in ("A", "B", "C", "u", "v")
-        )
 
     def _check_point(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -230,6 +235,8 @@ class PerturbedQuadratic:
     amplitude: float
     frequency: float
 
+    __eq__ = same_fields
+
     def __post_init__(self):
         require("nonnegative", amplitude=self.amplitude)
         require("positive", frequency=self.frequency)
@@ -246,15 +253,6 @@ class PerturbedQuadratic:
             )
         constants = Constants(base.alpha - shift, base.smooth_L + shift)
         object.__setattr__(self, "_constants", constants)
-
-    def __eq__(self, other):
-        if not isinstance(other, PerturbedQuadratic):
-            return NotImplemented
-        return (
-            self.base == other.base
-            and self.amplitude == other.amplitude
-            and self.frequency == other.frequency
-        )
 
     @property
     def dim(self) -> int:

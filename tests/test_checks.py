@@ -174,6 +174,14 @@ def test_the_second_moment_suite_passes_at_fresh_seeds(seed):
     assert "exact 33.69 +/- 1.16 (z = " in result.detail
 
 
+@pytest.mark.parametrize("seed", sorted(set(range(16)) - {0, 3, 8}))
+def test_every_suite_passes_at_seeds_0_to_15(seed):
+    # `check --seed 0..15`; seeds 0, 3 and 8 run in the golden stdout pins.
+    results = checks.run_all_checks(seed=seed)
+    assert len(results) == 18
+    assert [r for r in results if not r.passed] == []
+
+
 class TestSecondMomentBits:
     """The stacked pass scores each state with the bits of a per-step ``np.sum``.
 

@@ -242,6 +242,25 @@ class TestStep:
             np.testing.assert_array_equal(pair.system(i).xs, alone.xs)
             np.testing.assert_array_equal(pair.system(i).ys, alone.ys)
 
+    @pytest.mark.parametrize("shape", [(512, 1), (64, 2), (512, 8), (16, 1)],
+                             ids=["512x1", "64x2", "512x8", "16x1"])
+    @pytest.mark.parametrize("spec_idx", [0, 1])
+    def test_stack_of_one_steps_to_its_clouds_bytes(self, spec_idx, shape):
+        # A plain run steps a stack of one, (1, N, d); over 50 steps it keeps
+        # the bytes of the same (N, d) cloud stepped alone.
+        n, d = shape
+        spec = dense_specs(d)[spec_idx]
+        rng = np.random.default_rng(60 + spec_idx)
+        cloud = ParticleState(xs=rng.normal(size=shape), ys=rng.normal(size=shape))
+        params = AlgorithmParams(eta=spec.constants().eta_gd, tau=0.7, n_particles=n,
+                                 steps=50)
+        _, alone = run_algorithm(spec, cloud, params, seed=11, checkpoint_every=50)
+        _, stack = run_algorithm(spec, ParticleState.stacked(cloud), params, seed=11,
+                                 checkpoint_every=50)
+        assert stack.xs.shape == (1, n, d) and stack.step == alone.step == 50
+        assert stack.system(0).xs.tobytes() == alone.xs.tobytes()
+        assert stack.system(0).ys.tobytes() == alone.ys.tobytes()
+
 
 class TestRun:
     def test_zero_steps_only_initial_checkpoint(self):

@@ -49,9 +49,17 @@ class TestFitGaussian:
         np.testing.assert_allclose(mapped.mean, t @ base.mean + b, atol=1e-12)
         np.testing.assert_allclose(mapped.cov, t @ base.cov @ t.T, atol=1e-12)
 
-    def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            fit_gaussian(np.ones((1, 2)))
+    def test_needs_one_sample(self):
+        for bad in (np.ones((0, 2)), np.ones(2), np.ones((1, 1, 2))):
+            with pytest.raises(ValueError, match="n >= 1"):
+                fit_gaussian(bad)
+
+    def test_one_sample_is_its_point_mass(self):
+        sample = np.array([[0.3, -1.7, 2.5]])
+        mean, cov = fit_gaussian(sample)
+        assert mean.tobytes() == sample.mean(axis=0).tobytes()
+        assert cov.tobytes() == np.zeros((3, 3)).tobytes()  # +0.0, not -0.0
+        assert GaussianDist(mean, cov).degenerate
 
 
 class TestGaussianKl:
