@@ -10,6 +10,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -195,6 +196,60 @@ def _seed(text: str) -> int:
     return value
 
 
+class _Flag(NamedTuple):
+    """``--name VALUE``, converted by ``type``: required, or else ``default``."""
+
+    name: str
+    type: Callable[[str], object] = str
+    required: bool = False
+    default: object = None
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")  # argparse's own rule
+
+
+class _Command(NamedTuple):
+    handler: Callable[[argparse.Namespace], int]
+    help: str
+    flags: tuple[_Flag, ...]
+
+
+# The command line, in help order.  argparse is built from it, and the
+# canonical spelling is read from it directly (_read_canonical).
+_COMMANDS = {
+    "plan": _Command(_cmd_plan, "derive step size / particle / iteration counts", (
+        _Flag("--alpha", float, required=True),
+        _Flag("--smooth-l", float, required=True),
+        _Flag("--tau", float, required=True),
+        _Flag("--dim", _positive_int, required=True),
+        _Flag("--eps", float, required=True),
+        _Flag("--z-star-norm-sq", float, default=0.0),
+        _Flag("--seed", _seed, default=0),
+        _Flag("--out", default=""),
+    )),
+    "equilibrium": _Command(_cmd_equilibrium, "print z* and the Gaussian equilibrium", (
+        _Flag("--config", required=True),
+    )),
+    "run": _Command(_cmd_run, "run a configured experiment", (
+        _Flag("--config", required=True),
+        _Flag("--output-dir"),
+    )),
+    "couple": _Command(_cmd_couple, "synchronously coupled pair run", (
+        _Flag("--config", required=True),
+        _Flag("--output-dir"),
+    )),
+    "check": _Command(_cmd_check, "run the property suites", (
+        _Flag("--seed", _seed, default=0),
+    )),
+    "gradcheck": _Command(_cmd_gradcheck, "finite-difference gradient verification", (
+        _Flag("--seed", _seed, default=0),
+        _Flag("--points", _positive_int, default=100),
+        _Flag("--dim", _positive_int, default=2),
+    )),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="minmax-langevin",
@@ -202,47 +257,52 @@ def _build_parser() -> argparse.ArgumentParser:
         "entropy-regularized zero-sum games",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("plan", help="derive step size / particle / iteration counts")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--smooth-l", dest="smooth_l", type=float, required=True)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--dim", type=_positive_int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--z-star-norm-sq", dest="z_star_norm_sq", type=float, default=0.0)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--out", type=str, default="")
-    p.set_defaults(func=_cmd_plan)
-
-    p = sub.add_parser("equilibrium", help="print z* and the Gaussian equilibrium")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=_cmd_equilibrium)
-
-    p = sub.add_parser("run", help="run a configured experiment")
-    p.add_argument("--config", required=True)
-    p.add_argument("--output-dir", default=None)
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("couple", help="synchronously coupled pair run")
-    p.add_argument("--config", required=True)
-    p.add_argument("--output-dir", default=None)
-    p.set_defaults(func=_cmd_couple)
-
-    p = sub.add_parser("check", help="run the property suites")
-    p.add_argument("--seed", type=_seed, default=0)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--points", type=_positive_int, default=100)
-    p.add_argument("--dim", type=_positive_int, default=2)
-    p.set_defaults(func=_cmd_gradcheck)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            p.add_argument(flag.name, dest=flag.dest, type=flag.type,
+                           required=flag.required, default=flag.default)
+        p.set_defaults(func=command.handler)
     return parser
 
 
+def _read_canonical(argv: list) -> argparse.Namespace | None:
+    """The Namespace argparse builds for ``COMMAND (--flag VALUE)*``, read
+    without argparse; None for any other argv, which argparse then reads.
+
+    Every flag must be spelled as in ``_COMMANDS`` and given at most once,
+    no value may start with ``-``, every required flag must be present and
+    every value must convert.  Help, ``--flag=VALUE``, abbreviations,
+    repeats, negative numbers and every error are argparse's.
+    """
+    if len(argv) % 2 == 0 or not all(isinstance(token, str) for token in argv):
+        return None
+    command = _COMMANDS.get(argv[0])
+    if command is None:
+        return None
+    flags = {flag.name: flag for flag in command.flags}
+    values = {}
+    for name, text in zip(argv[1::2], argv[2::2]):
+        flag = flags.get(name)
+        if flag is None or flag.dest in values or text.startswith("-"):
+            return None
+        try:
+            values[flag.dest] = flag.type(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):  # argparse's catch
+            return None
+    if any(flag.required and flag.dest not in values for flag in command.flags):
+        return None
+    return argparse.Namespace(
+        command=argv[0], func=command.handler,
+        **{flag.dest: values.get(flag.dest, flag.default) for flag in command.flags},
+    )
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = _read_canonical(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

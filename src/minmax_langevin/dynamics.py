@@ -264,13 +264,22 @@ def run_algorithm(
         )
     noise = KeyedNoise(seed, horizon=init.step + params.steps)
     record = (lambda k, s: s) if on_checkpoint is None else on_checkpoint
-    state = init
-    checkpoints = [(0, record(0, state))]
+
+    def shaped(s: ParticleState, to: tuple) -> ParticleState:
+        if s.xs.shape == to:
+            return s
+        return ParticleState(xs=s.xs.reshape(to), ys=s.ys.reshape(to), step=s.step)
+
+    # A stack of one steps as its (N, d) cloud, bit for bit and cheaper per
+    # step; checkpoints and the final state get init's shape back as views.
+    shape = init.xs.shape
+    state = shaped(init, shape[-2:] if set(shape[:-2]) == {1} else shape)
+    checkpoints = [(0, record(0, init))]
     for k in range(1, params.steps + 1):
         state = step_algorithm(spec, state, params, noise)
         if k % checkpoint_every == 0 or k == params.steps:
-            checkpoints.append((k, record(k, state)))
-    return checkpoints, state
+            checkpoints.append((k, record(k, shaped(state, shape))))
+    return checkpoints, shaped(state, shape)
 
 
 def save_snapshot(path, state: ParticleState) -> None:

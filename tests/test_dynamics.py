@@ -261,6 +261,29 @@ class TestStep:
         assert stack.system(0).xs.tobytes() == alone.xs.tobytes()
         assert stack.system(0).ys.tobytes() == alone.ys.tobytes()
 
+    @pytest.mark.parametrize("lead", [(1,), (1, 1)], ids=["1", "1x1"])
+    def test_stack_of_one_keeps_its_shape(self, lead, monkeypatch):
+        # run_algorithm steps a stack of one as its (N, d) cloud; every
+        # checkpoint and the final state still have init's shape.
+        q = scalar_quadratic()
+        shape = lead + (8, 1)
+        init = ParticleState(xs=np.zeros(shape), ys=np.ones(shape))
+        params = AlgorithmParams(eta=0.05, tau=1.0, n_particles=8, steps=7)
+        stepped = []
+        step = dynamics.step_algorithm
+        monkeypatch.setattr(dynamics, "step_algorithm",
+                            lambda *a: stepped.append(a[1].xs.shape) or step(*a))
+        seen = []
+        checkpoints, final = run_algorithm(
+            q, init, params, seed=2, checkpoint_every=3,
+            on_checkpoint=lambda k, s: seen.append((k, s.xs.shape, s.ys.shape, s.step)))
+        assert stepped == [(8, 1)] * 7
+        assert seen == [(k, shape, shape, k) for k in (0, 3, 6, 7)]
+        assert final.xs.shape == final.ys.shape == shape and final.step == 7
+        no_steps = AlgorithmParams(eta=0.05, tau=1.0, n_particles=8, steps=0)
+        _, zero = run_algorithm(q, init, no_steps, seed=2, checkpoint_every=3)
+        assert zero == init and zero.xs.shape == shape
+
 
 class TestRun:
     def test_zero_steps_only_initial_checkpoint(self):
