@@ -51,6 +51,7 @@ from .dynamics import (
     load_snapshot,
     run_algorithm,
     save_snapshot,
+    write_ascii,
 )
 from .metrics import MetricsRecord, fit_gaussian, gaussian_kl, gaussian_w2
 from .oracle import (
@@ -335,7 +336,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
 
     csv_path = out / "metrics.csv"
     body = "\n".join([csv_header(d)] + [_csv_row(r) for r in records]) + "\n"
-    csv_path.write_text(body, encoding="ascii")
+    write_ascii(csv_path, body)
 
     manifest = {
         "seed": config.seed,
@@ -376,7 +377,7 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
         },
     }
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="ascii")
+    write_ascii(manifest_path, json.dumps(manifest, indent=2) + "\n")
     return ReportBundle(
         output_dir=out,
         csv_path=csv_path,

@@ -264,15 +264,20 @@ class PerturbedQuadratic:
         ripple = np.sum(np.cos(f * x), axis=-1) - np.sum(np.cos(f * y), axis=-1)
         return self.base.value(x, y) + self.amplitude * ripple
 
+    def ripple(self, v):
+        """``amp * freq * sin(freq * v)`` per coordinate: what ``grad_x``
+        subtracts from the base's and ``grad_y`` adds to it.  So the drift
+        b_Z is the base's plus the ripple of z (up to the sign of a zero)."""
+        f = self.frequency
+        return self.amplitude * f * np.sin(f * v)
+
     def grad_x(self, x, y):
         x, y = self.base._check_point(x, y)
-        f = self.frequency
-        return self.base.grad_x(x, y) - self.amplitude * f * np.sin(f * x)
+        return self.base.grad_x(x, y) - self.ripple(x)
 
     def grad_y(self, x, y):
         x, y = self.base._check_point(x, y)
-        f = self.frequency
-        return self.base.grad_y(x, y) + self.amplitude * f * np.sin(f * y)
+        return self.base.grad_y(x, y) + self.ripple(y)
 
     def curvature(self, z):
         """(∇²ₓₓV, −∇²ᵧᵧV) at z: the base's (A, B) shifted by the ripple."""

@@ -210,3 +210,28 @@ def test_a_canonical_run_never_loads_locale(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_a_canonical_run_never_loads_the_ascii_codec(tmp_path):
+    # metrics.csv, manifest.json and the snapshots are encoded by
+    # str.encode("ascii"), which needs no codec lookup; a text-mode file
+    # opened with encoding="ascii" imports encodings.ascii on first use.
+    config = tmp_path / "tiny.cfg"
+    config.write_text(minimal_config(tmp_path, output__snapshots="all"))
+    script = (
+        "import sys\n"
+        "import minmax_langevin.cli as cli\n"
+        "assert cli.main(['run', '--config', sys.argv[1]]) == 0\n"
+        "sys.exit('ascii codec loaded' if 'encodings.ascii' in sys.modules else 0)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(config)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    written = sorted(p.name for p in (tmp_path / "run").iterdir())
+    assert {"manifest.json", "metrics.csv"} <= set(written)
+    assert any(name.startswith("snapshot_") for name in written)

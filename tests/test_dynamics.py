@@ -556,3 +556,11 @@ class TestSnapshots:
 def test_second_moment_stability_probe():
     result = check_second_moment_stability(seed=0)
     assert result.passed, result.detail
+
+
+def test_write_ascii_refuses_a_non_ascii_character(tmp_path):
+    path = tmp_path / "out.csv"
+    dynamics.write_ascii(path, "1,2\n")
+    assert path.read_bytes() == b"1,2\n"
+    with pytest.raises(UnicodeEncodeError):
+        dynamics.write_ascii(tmp_path / "bad.csv", "é\n")

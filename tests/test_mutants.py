@@ -17,6 +17,11 @@ A chain at tau / 2 or 2 tau passes the second-moment suite's bound line
 (so does one at 5 tau, mostly) and fails its exact line by 14 and 29 s.d.
 A noise scale of x1.05 (tau x1.1025) moves the exact mean by about 3 s.d.,
 under the line's 4, and passes at seed 8; it is not pinned here.
+The ripple's sign flipped in ``PerturbedQuadratic.grad_x`` alone (``ripple``
+unchanged) fails only ``gradient_fd[PerturbedQuadratic]`` of ``check`` at
+seed 8: the pair sweep drifts the perturbed family as its base's drift plus
+``ripple`` and never calls its ``grad_x``.  The drift identity of
+``test_probe_sweep`` fails under it too; both are pinned.
 """
 
 import dataclasses
@@ -24,7 +29,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from test_probe_sweep import perturbed_payoffs, ripple_identity_holds
+
 from minmax_langevin import checks, dynamics, rng
+from minmax_langevin.payoff import PerturbedQuadratic
 
 QUAD, _ = checks.default_specs()
 # QUAD moved off the origin: u and v put its equilibrium at z* != 0.
@@ -77,6 +85,12 @@ def scalar_stream_takes_the_cosine_half_twice(seed, stream_id, start, n):
     return np.repeat(rng._words_to_pairs(words)[0], 2)[start % 2:start % 2 + n]
 
 
+def ripple_sign_flipped_in_grad_x(self, x, y):
+    """grad_x adds the ripple where it must subtract it; ``ripple`` is intact."""
+    x, y = self.base._check_point(x, y)
+    return self.base.grad_x(x, y) + self.ripple(x)
+
+
 # (mutant, patched owner, attribute, the suite that catches it, its result name)
 MUTANTS = [
     (opponent_mean_over_every_leading_axis, dynamics, "drift_particles",
@@ -95,6 +109,8 @@ MUTANTS = [
      checks.check_rng_consistency, "rng_stream_consistency"),
     (scalar_stream_takes_the_cosine_half_twice, checks, "standard_normal_block",
      checks.check_rng_consistency, "rng_stream_consistency"),
+    (ripple_sign_flipped_in_grad_x, PerturbedQuadratic, "grad_x",
+     lambda: checks.gradient_checks(seed=SEED)[1], "gradient_fd[PerturbedQuadratic]"),
 ]
 
 
@@ -113,3 +129,11 @@ def test_the_scalar_stream_mutant_fails_no_other_suite(monkeypatch):
                         scalar_stream_takes_the_cosine_half_twice)
     failed = [r.name for r in checks.run_all_checks(seed=SEED) if not r.passed]
     assert failed == ["rng_stream_consistency"]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8])
+def test_the_drift_identity_catches_the_ripple_sign_flipped_in_grad_x(monkeypatch, dim):
+    pert = perturbed_payoffs(dim)[0]
+    assert ripple_identity_holds(pert, seed=SEED)
+    monkeypatch.setattr(PerturbedQuadratic, "grad_x", ripple_sign_flipped_in_grad_x)
+    assert not ripple_identity_holds(pert, seed=SEED)
