@@ -7,9 +7,11 @@ the three pair inequalities of the drift b_Z (strong monotonicity, 2L
 Lipschitz, contraction of z + eta b_Z(z)) share one chunked sweep,
 :func:`_worst_over_pairs`, which draws and norms each chunk once for every
 payoff family it probes and drifts it once under the quadratic base, to
-which the perturbed family built on it adds only its ripple; the functional
-and W2-triangle suites build each law stack once and call each law function
-once; the second-moment run keeps its states and scores them in one stacked
+which the perturbed family built on it adds only its ripple, working in the
+buffers it draws; the GD envelope suite descends both families as one stack
+by the same rule (:func:`_gd_envelope`); the functional and W2-triangle
+suites build each law stack once and call each law function once; the
+second-moment run keeps its states and scores them in one stacked
 pass, against the paper's bound and, two-sided, against the exact law of
 its quadratic chain (500 steps suffice for that line).  :func:`_result`
 names every result, ``title[<payoff class>]`` when a payoff is probed.
@@ -27,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deterministic import JointPoint, gd_rate_audit, solve_equilibrium
+from .deterministic import (JointPoint, _envelope_records, gd_rate_audit,
+                            solve_equilibrium)
 from .dynamics import (
     AlgorithmParams,
     ParticleState,
@@ -109,10 +112,12 @@ def _worst_over_pairs(specs, tag: str, seed: int, pairs: int, n: int, statistic)
     stats = [[] for _ in specs]
     for start in range(0, pairs, _PROBE_CHUNK):
         m = min(_PROBE_CHUNK, pairs - start)
-        z = 2.0 * standard_normal_block(
+        z = standard_normal_block(
             seed, stream_id, 2 * start * width, 2 * m * width).reshape(m, 2, width)
+        z *= 2.0  # exact, and in the fresh draw's own buffer
         z1, z2 = z[:, 0], z[:, 1]
-        dz_norm = np.maximum(np.linalg.norm(z1 - z2, axis=1), 1e-300)
+        dz_norm = _row_norms(z1 - z2)
+        np.maximum(dz_norm, 1e-300, out=dz_norm)
         previous = None
         for spec, spec_stats in zip(specs, stats):
             if isinstance(spec, PerturbedQuadratic) and spec.base is previous:
@@ -126,9 +131,19 @@ def _worst_over_pairs(specs, tag: str, seed: int, pairs: int, n: int, statistic)
     return [float(np.max(np.concatenate(spec_stats))) for spec_stats in stats]
 
 
+def _row_norms(v):
+    """``np.linalg.norm(v, axis=1)``, bit for bit, without its ``v.conj()``
+    copy: ``v``, a fresh array of the caller's, is squared in place."""
+    v *= v
+    norm = np.add.reduce(v, axis=1)
+    return np.sqrt(norm, out=norm)
+
+
 def _stretch(dv, dz_norm):
-    """Row-wise |dv| / ``dz_norm``."""
-    return np.linalg.norm(dv, axis=1) / dz_norm
+    """Row-wise |dv| / ``dz_norm``; ``dv`` is fresh and squared in place."""
+    norm = _row_norms(dv)
+    norm /= dz_norm
+    return norm
 
 
 def _random_gaussians(seed: int, tag: str, count: int, dim: int, ridge: float):
@@ -185,8 +200,15 @@ def _lipschitz(specs, seed: int):
 
 def _contraction(specs, seed: int):
     def stretch(spec, z1, z2, b1, b2, dz_norm):
+        # (z1 + eta b1) - (z2 + eta b2) in two fresh buffers; b1 and b2 stay
+        # intact for the ripple the next family adds.
         eta = spec.constants().eta_strict
-        return _stretch((z1 + eta * b1) - (z2 + eta * b2), dz_norm)
+        w1 = eta * b1
+        w1 += z1
+        w2 = eta * b2
+        w2 += z2
+        w1 -= w2
+        return _stretch(w1, dz_norm)
 
     worsts = _worst_over_pairs(specs, "contraction", seed, 10_000, 8, stretch)
     factors = [contraction_factor(c.alpha, c.smooth_L, c.eta_strict)
@@ -238,15 +260,76 @@ def check_permutation_equivariance(spec: PayoffSpec, seed: int = 0):
                    f"max row discrepancy {err:.3e}")
 
 
-def check_gd_envelope(spec: PayoffSpec, seed: int = 0):
-    """Min-max GD stays below exp(-alpha eta k) * initial squared distance."""
-    x, y = _normals(seed, "gd-envelope", 2, spec.dim)
+_GD_STEPS = 500  # the descent length of the GD envelope suite
+
+
+def _gd_result(spec, audit) -> CheckResult:
+    """``gd_rate_envelope`` of ``spec``: PASS unless ``audit()`` raises."""
     try:
-        gd_rate_audit(spec, JointPoint(x=x, y=y), spec.constants().eta_gd, 500)
-        ok, detail = True, "500 steps below envelope"
+        audit()
+        ok, detail = True, f"{_GD_STEPS} steps below envelope"
     except RuntimeError as exc:  # an envelope violation or a failed solve of z*
         ok, detail = False, str(exc)
     return _result("gd_rate_envelope", spec, ok, detail)
+
+
+def check_gd_envelope(spec: PayoffSpec, seed: int = 0):
+    """Min-max GD stays below exp(-alpha eta k) * initial squared distance."""
+    x, y = _normals(seed, "gd-envelope", 2, spec.dim)
+    return _gd_result(spec, lambda: gd_rate_audit(
+        spec, JointPoint(x=x, y=y), spec.constants().eta_gd, _GD_STEPS))
+
+
+def _descend_stack(pert: PerturbedQuadratic, x, y, etas, steps: int):
+    """Min-max GD of ``pert``'s base (row 0) and of ``pert`` (row 1) from the
+    same point ``(x, y)``, row r at step size ``etas[r]``, as one ``(2, 1,
+    d)`` stack: the ``(steps + 1, 2, 1, d)`` iterates ``xs`` and ``ys``.
+
+    Each step takes the base's gradients of both rows and the perturbed row
+    adds its ripple, so every iterate has the bits of ``_gd_update`` on its
+    own family: the products stay one-row ``@`` (a two-row gemm would change
+    them).  numpy's warnings are the caller's.
+    """
+    base = pert.base
+    eta = np.reshape(etas, (2, 1, 1))
+    xs = np.empty((steps + 1, 2, 1, base.dim))
+    ys = np.empty_like(xs)
+    xs[0], ys[0] = x, y
+    for k in range(1, steps + 1):
+        x, y = xs[k - 1], ys[k - 1]
+        gx, gy = base.grad_x(x, y), base.grad_y(x, y)
+        gx[1] -= pert.ripple(x[1])
+        gy[1] += pert.ripple(y[1])
+        gx *= eta
+        gy *= eta
+        np.subtract(x, gx, out=xs[k])
+        np.add(y, gy, out=ys[k])
+    return xs, ys
+
+
+def _gd_envelope(specs, seed: int):
+    """:func:`check_gd_envelope` per spec.  A :class:`PerturbedQuadratic`
+    built on the spec before it, the rule :func:`_worst_over_pairs` uses,
+    descends with it as one stack (:func:`_descend_stack`), each row at its
+    own ``eta_gd``, and each row is scored by ``gd_rate_audit``'s envelope
+    rule.  Other specs, or a failed solve of z*, take one audit per spec.
+    """
+    if not (len(specs) == 2 and isinstance(specs[1], PerturbedQuadratic)
+            and specs[1].base is specs[0]):
+        return [check_gd_envelope(spec, seed) for spec in specs]
+    try:
+        stars = [solve_equilibrium(spec)[0].vector for spec in specs]
+    except RuntimeError:  # each family reports its own failed solve
+        return [check_gd_envelope(spec, seed) for spec in specs]
+    constants = [spec.constants() for spec in specs]
+    etas = [c.eta_gd for c in constants]
+    x, y = _normals(seed, "gd-envelope", 2, specs[0].dim)
+    with np.errstate(all="ignore"):  # a diverging row fails its envelope
+        xs, ys = _descend_stack(specs[1], x, y, etas, _GD_STEPS)
+    return [_gd_result(spec, lambda: _envelope_records(
+                c.alpha, row_eta, xs[:, row], ys[:, row], star))
+            for row, (spec, c, row_eta, star)
+            in enumerate(zip(specs, constants, etas, stars))]
 
 
 def check_functional_inequalities(seed: int = 0):
@@ -362,8 +445,8 @@ def run_all_checks(seed: int = 0) -> list[CheckResult]:
         *(result for body in (_monotonicity, _lipschitz, _contraction)
           for result in body(specs, seed)),
         *(check_equilibrium_drift(spec) for spec in specs),
-        *(check(spec, seed=seed) for check in
-          (check_permutation_equivariance, check_gd_envelope) for spec in specs),
+        *(check_permutation_equivariance(spec, seed=seed) for spec in specs),
+        *_gd_envelope(specs, seed),
         check_functional_inequalities(seed=seed),
         check_w2_triangle(seed=seed),
         check_second_moment_stability(seed=seed),

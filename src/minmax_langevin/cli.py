@@ -6,10 +6,10 @@ Exit codes: 0 success, 2 configuration error, 3 divergence during a run,
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -181,18 +181,27 @@ def _cmd_gradcheck(args) -> int:
     return EXIT_PROPERTY if _report(results) else EXIT_OK
 
 
+def _type_error() -> type:
+    """argparse's ``ArgumentTypeError``, whose text argparse prints after the
+    flag.  Called only on an error path (an ``except`` clause's tuple is
+    evaluated only when an exception reaches it), so a canonical call never
+    imports argparse."""
+    from argparse import ArgumentTypeError
+
+    return ArgumentTypeError
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+        raise _type_error()(f"must be a positive integer, got {text}")
     return value
 
 
 def _seed(text: str) -> int:
     value = int(text)
     if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(
-            f"must be an unsigned 64-bit integer, got {text}")
+        raise _type_error()(f"must be an unsigned 64-bit integer, got {text}")
     return value
 
 
@@ -210,13 +219,14 @@ class _Flag(NamedTuple):
 
 
 class _Command(NamedTuple):
-    handler: Callable[[argparse.Namespace], int]
+    handler: Callable[[SimpleNamespace], int]
     help: str
     flags: tuple[_Flag, ...]
 
 
 # The command line, in help order.  argparse is built from it, and the
-# canonical spelling is read from it directly (_read_canonical).
+# canonical spelling is read from it directly (_read_canonical), so argparse
+# and gettext are imported only for help, other spellings and errors.
 _COMMANDS = {
     "plan": _Command(_cmd_plan, "derive step size / particle / iteration counts", (
         _Flag("--alpha", float, required=True),
@@ -250,7 +260,9 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="minmax-langevin",
         description="Particle-based equilibrium computation for "
@@ -266,9 +278,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_canonical(argv: list) -> argparse.Namespace | None:
-    """The Namespace argparse builds for ``COMMAND (--flag VALUE)*``, read
-    without argparse; None for any other argv, which argparse then reads.
+def _read_canonical(argv: list) -> SimpleNamespace | None:
+    """The attributes of the Namespace argparse builds for ``COMMAND
+    (--flag VALUE)*``, read without argparse; None for any other argv,
+    which argparse then reads.
 
     Every flag must be spelled as in ``_COMMANDS`` and given at most once,
     no value may start with ``-``, every required flag must be present and
@@ -288,11 +301,11 @@ def _read_canonical(argv: list) -> argparse.Namespace | None:
             return None
         try:
             values[flag.dest] = flag.type(text)
-        except (TypeError, ValueError, argparse.ArgumentTypeError):  # argparse's catch
+        except (TypeError, ValueError, _type_error()):  # argparse's catch
             return None
     if any(flag.required and flag.dest not in values for flag in command.flags):
         return None
-    return argparse.Namespace(
+    return SimpleNamespace(
         command=argv[0], func=command.handler,
         **{flag.dest: values.get(flag.dest, flag.default) for flag in command.flags},
     )

@@ -21,8 +21,11 @@ row-major bracketed lists of numbers, or plain text.  ``#`` always starts a
 comment, also inside a value, so ``output.dir = runs/#3`` means ``runs/``.
 An absent optional key takes the default of its dataclass field.  Unknown
 keys are rejected, and every invariant is checked at parse time with a
-field-level message.  One table of keys, ``_KEYS``, drives ``parse_config``
-and ``serialize_config``, the one emitter of the format.
+field-level message.  So is a key the run would ignore: ``init.mean``
+without ``init.mean_mode = explicit``, or ``init.snapshot`` without
+``init.kind = snapshot`` (and the same for ``coupled.*``).  One table of
+keys, ``_KEYS``, drives ``parse_config`` and ``serialize_config``, the one
+emitter of the format.
 """
 
 from __future__ import annotations
@@ -106,7 +109,15 @@ class ExperimentConfig:
             object.__setattr__(self, "coupled", self._resolved(self.coupled, "coupled"))
 
     def _resolved(self, init: InitSpec, prefix: str) -> InitSpec:
-        """``init`` checked against the payoff, with cov_scale defaulted to tau / L."""
+        """``init`` checked against the payoff, with cov_scale defaulted to
+        tau / L.  A key the run would ignore is an error that names it and
+        the key that makes it ignored."""
+        if init.snapshot and init.kind != "snapshot":
+            raise ConfigError(f"{prefix}.snapshot is ignored unless {prefix}.kind = "
+                              f"snapshot, got {prefix}.kind = {init.kind}")
+        if init.kind == "gaussian" and init.mean and init.mean_mode != "explicit":
+            raise ConfigError(f"{prefix}.mean is ignored unless {prefix}.mean_mode = "
+                              f"explicit, got {prefix}.mean_mode = {init.mean_mode}")
         if init.mean and len(init.mean) != 2 * self.payoff.dim:
             raise ConfigError(f"{prefix}.mean must list {2 * self.payoff.dim} numbers")
         if init.kind != "gaussian" or init.cov_scale is not None:

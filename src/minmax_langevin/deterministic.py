@@ -163,7 +163,7 @@ def gd_rate_audit(
     than 1e-9 relative slack, or is NaN, which would indicate a constants or
     update bug.  Arguments are checked once; each step is ``gd_step``'s update.
     The whole trajectory is stepped first, with numpy's warnings off, then
-    scored in one pass; the first violating step is the one reported.
+    scored in one pass by :func:`_envelope_records`.
     """
     require("nonnegative", eta_gd=eta_gd, steps=steps)
     c = spec.constants()
@@ -177,9 +177,22 @@ def gd_rate_audit(
         for k in range(1, steps + 1):
             x, y = _gd_update(spec, x, y, eta_gd)
             xs[k], ys[k] = x, y
+    return _envelope_records(c.alpha, eta_gd, xs, ys, star)
+
+
+def _envelope_records(alpha: float, eta_gd: float, xs, ys, star):
+    """:func:`gd_rate_audit`'s scoring of a stepped trajectory: ``xs[k]`` and
+    ``ys[k]`` hold step k's point and ``star`` is z* as one 2d-vector.
+
+    Each step's ``|z_k - z*|^2`` has ``np.sum``'s bits over its own 2d
+    entries, whatever leading axes of one point ``xs[k]`` carries.  The
+    first step above its envelope, or NaN, raises :class:`EnvelopeViolation`.
+    """
+    steps = len(xs) - 1
+    with np.errstate(all="ignore"):
         dz = (np.concatenate([xs, ys], axis=-1) - star).reshape(steps + 1, -1)
         dist_sq = np.add.reduce(dz * dz, axis=1)  # each step's np.sum bits
-        envelopes = np.exp(-c.alpha * eta_gd * np.arange(steps + 1)) * dist_sq[0]
+        envelopes = np.exp(-alpha * eta_gd * np.arange(steps + 1)) * dist_sq[0]
         below = dist_sq <= envelopes * (1.0 + 1e-9)
     records = list(zip(range(steps + 1), dist_sq.tolist(), envelopes))
     if not below.all():

@@ -29,6 +29,7 @@ fixed numpy reduction over the particle axis) never varies between runs.
 
 from __future__ import annotations
 
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -303,15 +304,19 @@ def write_ascii(path, text: str) -> None:
 
 
 def load_snapshot(path) -> ParticleState:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
-        if len(header) != 3:
-            raise ValueError(f"{path}: malformed snapshot header")
-        n, d, step = (int(v) for v in header)
-        with warnings.catch_warnings():
-            # An empty body is reported by the shape check below.
-            warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    """The state a snapshot file holds.  Its bytes are decoded as ASCII, as
+    :func:`write_ascii` encodes them, and read with a text file's newline
+    rules; a non-ASCII byte raises ``UnicodeDecodeError``, a ``ValueError``."""
+    with open(path, "rb") as raw:
+        fh = io.StringIO(raw.read().decode("ascii"), newline=None)
+    header = fh.readline().strip().split(",")
+    if len(header) != 3:
+        raise ValueError(f"{path}: malformed snapshot header")
+    n, d, step = (int(v) for v in header)
+    with warnings.catch_warnings():
+        # An empty body is reported by the shape check below.
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.shape != (2 * n, d):
         raise ValueError(
             f"{path}: expected {2 * n} rows of {d} values, got {data.shape}"

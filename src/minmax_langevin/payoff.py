@@ -267,9 +267,15 @@ class PerturbedQuadratic:
     def ripple(self, v):
         """``amp * freq * sin(freq * v)`` per coordinate: what ``grad_x``
         subtracts from the base's and ``grad_y`` adds to it.  So the drift
-        b_Z is the base's plus the ripple of z (up to the sign of a zero)."""
+        b_Z is the base's plus the ripple of z (up to the sign of a zero).
+        One buffer, with the bits of ``(amp * freq) * sin(freq * v)``."""
         f = self.frequency
-        return self.amplitude * f * np.sin(f * v)
+        t = f * v
+        if not (isinstance(t, np.ndarray) and t.dtype.kind == "f"):
+            t = np.array(t, dtype=float)  # a 0-d or an integer input
+        np.sin(t, out=t)
+        t *= self.amplitude * f
+        return t
 
     def grad_x(self, x, y):
         x, y = self.base._check_point(x, y)

@@ -212,6 +212,29 @@ def test_a_canonical_run_never_loads_locale(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_canonical_run_and_check_calls_never_import_argparse(tmp_path):
+    # argparse (with gettext) is imported only to build the parser, or by a
+    # converter on its error path.
+    config = tmp_path / "tiny.cfg"
+    config.write_text(minimal_config(tmp_path))
+    script = (
+        "import sys\n"
+        "import minmax_langevin.cli as cli\n"
+        "assert cli.main(['run', '--config', sys.argv[1]]) == 0\n"
+        "assert cli.main(['check', '--seed', '3']) == 0\n"
+        "loaded = sorted({'argparse', 'gettext'} & set(sys.modules))\n"
+        "sys.exit(f'{loaded} imported' if loaded else 0)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(config)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_a_canonical_run_never_loads_the_ascii_codec(tmp_path):
     # metrics.csv, manifest.json and the snapshots are encoded by
     # str.encode("ascii"), which needs no codec lookup; a text-mode file
@@ -235,3 +258,26 @@ def test_a_canonical_run_never_loads_the_ascii_codec(tmp_path):
     written = sorted(p.name for p in (tmp_path / "run").iterdir())
     assert {"manifest.json", "metrics.csv"} <= set(written)
     assert any(name.startswith("snapshot_") for name in written)
+
+
+def test_a_snapshot_started_run_never_loads_the_ascii_codec(tmp_path):
+    # load_snapshot reads bytes and decodes them with bytes.decode("ascii"),
+    # which needs no codec lookup.
+    snap = tmp_path / "init.csv"
+    snap.write_bytes(b"8,1,0\n" + b"0.25\n-0.5\n" * 8)
+    config = tmp_path / "tiny.cfg"
+    config.write_text(minimal_config(tmp_path, init__kind="snapshot", init__snapshot=snap))
+    script = (
+        "import sys\n"
+        "import minmax_langevin.cli as cli\n"
+        "assert cli.main(['run', '--config', sys.argv[1]]) == 0\n"
+        "sys.exit('ascii codec loaded' if 'encodings.ascii' in sys.modules else 0)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(config)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

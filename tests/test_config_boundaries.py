@@ -1,9 +1,10 @@
 """Generated boundary tests: the config key table writes the bad inputs.
 
-Each example starts from a valid config that sets every key and replaces the
-values of one to three keys with tokens from a fixed pool of edge cases:
-zero, negatives, nonfinite and extreme finite numbers, integers past 64 bits,
-empty values, lists of the wrong length and values of the wrong type.  The
+Each example starts from one of two valid configs that together set every
+key, and replaces the values of one to three keys with tokens from a fixed
+pool of edge cases: zero, negatives, nonfinite and extreme finite numbers,
+integers past 64 bits, empty values, lists of the wrong length and values of
+the wrong type.  The
 keys are ``config._KEYS`` plus ``payoff.kind``, so a key added to the table is
 generated here without a change to this file.  Generation is derandomized, so
 every run sees the same cases.
@@ -22,8 +23,9 @@ from minmax_langevin.config import _KEYS
 
 KEYS = ("payoff.kind", *_KEYS)
 
-# A valid config that sets every key: a perturbed payoff (both payoff
-# sections), explicit init and coupled sections, and every optional key.
+# A valid config that sets every key but the two snapshot paths, which a
+# Gaussian init would ignore: a perturbed payoff (both payoff sections),
+# explicit init and coupled sections, and every other optional key.
 VALID = {
     "payoff.kind": "PerturbedQuadratic",
     "payoff.dim": "1",
@@ -45,15 +47,24 @@ VALID = {
     "init.mean_mode": "explicit",
     "init.mean": "[0.5, -0.5]",
     "init.cov_scale": "0.5",
-    "init.snapshot": "init.csv",
     "coupled.kind": "gaussian",
-    "coupled.mean_mode": "zero",
+    "coupled.mean_mode": "explicit",
     "coupled.mean": "[0.25, 0.25]",
     "coupled.cov_scale": "0.25",
-    "coupled.snapshot": "coupled.csv",
     "output.dir": "runs/boundary",
     "output.snapshots": "final",
 }
+# The same config with both systems started from snapshot files: it sets the
+# two paths, and drops the Gaussian keys that a snapshot init would ignore.
+VALID_SNAPSHOT = {
+    **{key: value for key, value in VALID.items()
+       if key.split(".")[0] not in ("init", "coupled")},
+    "init.kind": "snapshot",
+    "init.snapshot": "init.csv",
+    "coupled.kind": "snapshot",
+    "coupled.snapshot": "coupled.csv",
+}
+VALIDS = {"gaussian": VALID, "snapshot": VALID_SNAPSHOT}
 
 NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e200", "1e-320", str(2**64)]
 # Lists of one and two numbers fit some keys' lengths; the others are wrong
@@ -72,22 +83,23 @@ def config_text(edits: dict, base: dict = VALID) -> str:
     return "".join(f"{key} = {value}\n" for key, value in {**base, **edits}.items())
 
 
-def test_the_valid_config_sets_every_key():
-    assert set(VALID) == set(KEYS)
-    config = parse_config(config_text({}))
+@pytest.mark.parametrize("base", VALIDS.values(), ids=VALIDS.keys())
+def test_the_valid_configs_together_set_every_key(base):
+    assert set().union(*VALIDS.values()) == set(KEYS)
+    config = parse_config(config_text({}, base))
     assert parse_config(serialize_config(config)) == config
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(edits=EDITS)
+@given(edits=EDITS, base=st.sampled_from(sorted(VALIDS)))
 # Finite values whose squares overflow inside the payoff's constants.
-@example(edits={"payoff.frequency": "1e200"})
-@example(edits={"payoff.A": "[1e200]"})
-@example(edits={"payoff.B": "[1e200]"})
-@example(edits={"payoff.C": "[1e200]"})
-def test_a_config_round_trips_or_its_error_names_a_key(edits):
+@example(edits={"payoff.frequency": "1e200"}, base="gaussian")
+@example(edits={"payoff.A": "[1e200]"}, base="gaussian")
+@example(edits={"payoff.B": "[1e200]"}, base="gaussian")
+@example(edits={"payoff.C": "[1e200]"}, base="gaussian")
+def test_a_config_round_trips_or_its_error_names_a_key(edits, base):
     try:
-        config = parse_config(config_text(edits))
+        config = parse_config(config_text(edits, VALIDS[base]))
     except ConfigError as exc:
         assert any(name in str(exc) for name in NAMES), str(exc)
         return
@@ -102,9 +114,11 @@ BASES = {
                   "payoff.kind": "QuadraticBilinear"},
 }
 # A reference N(z*, tau H^-1) under the degeneracy clip, and linear terms
-# whose rounding residual beat an absolute equilibrium-solve tolerance.
+# whose rounding residual beat an absolute equilibrium-solve tolerance (the
+# empty init.mean unsets the mean, which a warm start would ignore).
 TAU_BELOW_CLIP = {"tau": "1e-13"}
-HUGE_U_WARM_START = {"payoff.u": "[1e150]", "init.mean_mode": "warm_start"}
+HUGE_U_WARM_START = {"payoff.u": "[1e150]", "init.mean_mode": "warm_start",
+                     "init.mean": "[]"}
 
 
 def run_main(tmp_path, command, edits, family):

@@ -11,6 +11,7 @@ import pytest
 from minmax_langevin import (
     AlgorithmParams,
     ConfigError,
+    InitSpec,
     KeyedNoise,
     checks,
     coupled_contraction_run,
@@ -62,6 +63,17 @@ def config_with(tmp_path, settings):
 
 
 # (key, nonfinite value, other keys that make the key meaningful)
+# (settings, the key they set that the run would ignore, the key that makes
+# the run ignore it)
+IGNORED_KEYS = [
+    ({"init.mean": "[0.5, -0.5]"}, "init.mean", "init.mean_mode"),
+    ({"init.mean_mode": "zero", "init.mean": "[0.5, -0.5]"}, "init.mean", "init.mean_mode"),
+    ({"init.snapshot": "absent.csv"}, "init.snapshot", "init.kind"),
+    ({"coupled.mean": "[0.5, -0.5]"}, "coupled.mean", "coupled.mean_mode"),
+    ({"coupled.kind": "gaussian", "coupled.snapshot": "absent.csv"}, "coupled.snapshot",
+     "coupled.kind"),
+]
+
 NONFINITE_FIELDS = [
     ("tau", "inf", {}),
     ("algorithm.eta", "nan", {}),
@@ -489,6 +501,29 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert key in err and "finite" in err
 
+    @pytest.mark.parametrize("settings, ignored, because", IGNORED_KEYS,
+                             ids=[" ".join(f[0]) for f in IGNORED_KEYS])
+    def test_a_key_the_run_would_ignore_is_config_error(self, tmp_path, capsys, settings,
+                                                        ignored, because):
+        text = config_with(tmp_path, settings)
+        with pytest.raises(ConfigError) as raised:
+            parse_config(text)
+        message = str(raised.value)
+        assert message.startswith(f"{ignored} is ignored unless {because} = "), message
+        cfg_path = tmp_path / "ignored.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_a_config_holding_an_ignored_key_is_never_built(self, tmp_path):
+        config = parse_config(minimal_config(tmp_path))
+        for init in [InitSpec(mean=(0.5, -0.5)), InitSpec(mean_mode="zero", mean=(1.0, 1.0)),
+                     InitSpec(snapshot="init.csv")]:
+            with pytest.raises(ConfigError, match="is ignored unless"):
+                dataclasses.replace(config, init=init)
+            with pytest.raises(ConfigError, match="^coupled[.]"):
+                dataclasses.replace(config, coupled=init)
+
     @pytest.mark.parametrize("key,value,context", MISTYPED_FIELDS,
                              ids=[f"{f[0]}={f[1]}" for f in MISTYPED_FIELDS])
     def test_mistyped_value_is_config_error(self, tmp_path, capsys, key, value,
@@ -540,6 +575,21 @@ class TestCliCommands:
         ))
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "init.snapshot" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", [
+        ("8,1,0\n" + "0.0\n" * 15 + "0.0\u00e9\n").encode("utf-8"),
+        "8,1,0\n".encode("utf-16"),
+        b"\xff\xfe\x00\x01",
+    ], ids=["non-ascii-row", "utf-16", "binary"])
+    def test_a_non_ascii_snapshot_is_config_error(self, tmp_path, capsys, body):
+        snap = tmp_path / "bad_snapshot.csv"
+        snap.write_bytes(body)
+        cfg_path = tmp_path / "badsnap.cfg"
+        cfg_path.write_text(minimal_config(
+            tmp_path, init__kind="snapshot", init__snapshot=snap
+        ))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert "init.snapshot: cannot load snapshot" in capsys.readouterr().err
 
     def test_coupled_snapshot_error_names_coupled_key(self, tmp_path, capsys):
         cfg_path = tmp_path / "coupledsnap.cfg"

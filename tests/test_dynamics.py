@@ -552,6 +552,16 @@ class TestSnapshots:
         np.testing.assert_array_equal(loaded.xs, state.xs)
         np.testing.assert_array_equal(loaded.ys, state.ys)
 
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_a_text_file_newline_reads_as_a_newline(self, tmp_path, newline):
+        rng = np.random.default_rng(22)
+        state = ParticleState(xs=rng.normal(size=(3, 2)), ys=rng.normal(size=(3, 2)), step=4)
+        path = tmp_path / "snap.csv"
+        save_snapshot(path, state)
+        path.write_bytes(path.read_bytes().replace(b"\n", newline))
+        loaded = load_snapshot(path)
+        assert loaded == state
+
 
 def test_second_moment_stability_probe():
     result = check_second_moment_stability(seed=0)

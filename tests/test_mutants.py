@@ -20,8 +20,11 @@ under the line's 4, and passes at seed 8; it is not pinned here.
 The ripple's sign flipped in ``PerturbedQuadratic.grad_x`` alone (``ripple``
 unchanged) fails only ``gradient_fd[PerturbedQuadratic]`` of ``check`` at
 seed 8: the pair sweep drifts the perturbed family as its base's drift plus
-``ripple`` and never calls its ``grad_x``.  The drift identity of
-``test_probe_sweep`` fails under it too; both are pinned.
+``ripple``, and the GD envelope suite descends it as its base's stack row
+plus ``ripple``, so neither calls its ``grad_x`` (the default payoffs have
+z* = 0, where the flip moves no equilibrium).  The drift identity of
+``test_probe_sweep`` and the descent identity of ``test_gd_stack`` fail
+under it too; all three are pinned.
 """
 
 import dataclasses
@@ -137,3 +140,14 @@ def test_the_drift_identity_catches_the_ripple_sign_flipped_in_grad_x(monkeypatc
     assert ripple_identity_holds(pert, seed=SEED)
     monkeypatch.setattr(PerturbedQuadratic, "grad_x", ripple_sign_flipped_in_grad_x)
     assert not ripple_identity_holds(pert, seed=SEED)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8])
+def test_the_descent_identity_catches_the_ripple_sign_flipped_in_grad_x(monkeypatch, dim):
+    # Imported here: test_gd_stack imports SHIFTED from this module.
+    from test_gd_stack import descent_identity_holds
+
+    pert = perturbed_payoffs(dim)[0]
+    assert descent_identity_holds(pert, seed=SEED)
+    monkeypatch.setattr(PerturbedQuadratic, "grad_x", ripple_sign_flipped_in_grad_x)
+    assert not descent_identity_holds(pert, seed=SEED)

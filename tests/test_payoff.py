@@ -78,6 +78,22 @@ class TestGrad:
             per_system = np.stack([grad(xi, yi) for xi, yi in zip(x, y)])
             assert np.array_equal(grad(x, y), per_system)
 
+    @pytest.mark.parametrize("amplitude, frequency", [(0.1, 1.0), (0.05, 2.0), (0.1, 1)])
+    def test_the_ripple_has_the_bits_of_its_formula(self, amplitude, frequency):
+        # Compared as bytes, so that the sign of a zero counts.
+        p = PerturbedQuadratic(base=scalar_quadratic(), amplitude=amplitude,
+                               frequency=frequency)
+        rng = np.random.default_rng(5)
+        stacked = rng.normal(size=(3, 4, 2))
+        stacked[0, 0] = [0.0, -0.0]
+        inputs = [0.0, -0.0, 1.5, np.float64(-0.0), np.array(-2.5), np.array([-0.0, 0.0, 3.0]),
+                  rng.normal(size=7), stacked, stacked[:, 1], np.arange(-2, 3)]
+        for v in inputs:
+            expected = np.asarray(amplitude * frequency * np.sin(frequency * v))
+            ripple = np.asarray(p.ripple(v))
+            assert ripple.dtype == expected.dtype and ripple.shape == expected.shape
+            assert ripple.tobytes() == expected.tobytes(), v
+
     def test_dimension_mismatch_rejected(self):
         q = scalar_quadratic()
         with pytest.raises(ValueError):

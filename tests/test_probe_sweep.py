@@ -98,3 +98,16 @@ def test_the_sweep_drifts_a_chunk_once_for_a_family_built_on_the_one_before(monk
         drifted.clear()
         checks._lipschitz(specs, 0)  # 1000 pairs: one chunk
         assert [id(spec) for spec in drifted] == [id(spec) for spec in expected]
+
+
+def test_row_norms_have_the_bits_of_np_linalg_norm():
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal((300, 32)) * np.exp(rng.uniform(-300, 300, (300, 1)))
+    v[0, :] = 0.0
+    v[1, 3], v[2, 5], v[3, 7] = np.nan, np.inf, -np.inf
+    dz_norm = rng.uniform(0.5, 2.0, 300)
+    with np.errstate(all="ignore"):
+        expected = np.linalg.norm(v, axis=1)
+        assert np.array_equal(checks._row_norms(v.copy()), expected, equal_nan=True)
+        assert np.array_equal(checks._stretch(v.copy(), dz_norm), expected / dz_norm,
+                              equal_nan=True)
