@@ -8,8 +8,9 @@ Lipschitz, contraction of z + eta b_Z(z)) share one chunked sweep,
 :func:`_worst_over_pairs`, which draws and norms each chunk once for every
 payoff family it probes and drifts it once under the quadratic base, to
 which the perturbed family built on it adds only its ripple, working in the
-buffers it draws; the GD envelope suite descends both families as one stack
-by the same rule (:func:`_gd_envelope`); the functional and W2-triangle
+buffers it draws and freeing each chunk before it draws the next; the GD
+envelope suite descends both families as one stack by the same rule
+(:func:`_gd_envelope`); the functional and W2-triangle
 suites build each law stack once and call each law function once; the
 second-moment run keeps its states and scores them in one stacked
 pass, against the paper's bound and, two-sided, against the exact law of
@@ -98,6 +99,8 @@ def _worst_over_pairs(specs, tag: str, seed: int, pairs: int, n: int, statistic)
     and normed once and drifted under every spec, which must share one dim.
     Only the norm is shared: holding the chunk's ``z1 - z2`` across the
     drifts raises the contraction suites' peak allocation from 4.8 to 5.3 MB.
+    One chunk is alive at a time: its arrays are freed before the next is
+    drawn, so the draw reuses their memory instead of faulting in fresh pages.
 
     The drift is linear in the payoff, so a :class:`PerturbedQuadratic`
     whose ``base`` is the spec probed just before it is not drifted again:
@@ -128,6 +131,7 @@ def _worst_over_pairs(specs, tag: str, seed: int, pairs: int, n: int, statistic)
                 b2 = batched_joint_drift(spec, z2, n, d)
             spec_stats.append(statistic(spec, z1, z2, b1, b2, dz_norm))
             previous = spec
+        del z, z1, z2, b1, b2, dz_norm  # the next draw reuses their memory
     return [float(np.max(np.concatenate(spec_stats))) for spec_stats in stats]
 
 

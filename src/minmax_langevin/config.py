@@ -22,10 +22,11 @@ comment, also inside a value, so ``output.dir = runs/#3`` means ``runs/``.
 An absent optional key takes the default of its dataclass field.  Unknown
 keys are rejected, and every invariant is checked at parse time with a
 field-level message.  So is a key the run would ignore: ``init.mean``
-without ``init.mean_mode = explicit``, or ``init.snapshot`` without
-``init.kind = snapshot`` (and the same for ``coupled.*``).  One table of
-keys, ``_KEYS``, drives ``parse_config`` and ``serialize_config``, the one
-emitter of the format.
+without ``init.mean_mode = explicit``, ``init.snapshot`` without
+``init.kind = snapshot``, and with it ``init.mean``, ``init.cov_scale`` or
+an ``init.mean_mode`` other than its default (the same for ``coupled.*``).
+One table of keys, ``_KEYS``, drives ``parse_config`` and
+``serialize_config``, the one emitter of the format.
 """
 
 from __future__ import annotations
@@ -115,6 +116,11 @@ class ExperimentConfig:
         if init.snapshot and init.kind != "snapshot":
             raise ConfigError(f"{prefix}.snapshot is ignored unless {prefix}.kind = "
                               f"snapshot, got {prefix}.kind = {init.kind}")
+        if init.kind == "snapshot":  # a Gaussian key set off its default
+            for name in ("mean_mode", "mean", "cov_scale"):
+                if getattr(init, name) != getattr(InitSpec, name):
+                    raise ConfigError(f"{prefix}.{name} is ignored unless {prefix}.kind "
+                                      f"= gaussian, got {prefix}.kind = snapshot")
         if init.kind == "gaussian" and init.mean and init.mean_mode != "explicit":
             raise ConfigError(f"{prefix}.mean is ignored unless {prefix}.mean_mode = "
                               f"explicit, got {prefix}.mean_mode = {init.mean_mode}")

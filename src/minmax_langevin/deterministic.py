@@ -160,8 +160,9 @@ def gd_rate_audit(
 
     Returns ``(k, distance_sq, envelope)`` triples for k = 0..steps and raises
     :class:`EnvelopeViolation` if any distance exceeds its envelope by more
-    than 1e-9 relative slack, or is NaN, which would indicate a constants or
-    update bug.  Arguments are checked once; each step is ``gd_step``'s update.
+    than 1e-9 relative slack plus the rounding floor of z*
+    (:func:`_envelope_records`), or is NaN, which would indicate a constants
+    or update bug.  Arguments are checked once; each step is ``gd_step``'s update.
     The whole trajectory is stepped first, with numpy's warnings off, then
     scored in one pass by :func:`_envelope_records`.
     """
@@ -187,13 +188,22 @@ def _envelope_records(alpha: float, eta_gd: float, xs, ys, star):
     Each step's ``|z_k - z*|^2`` has ``np.sum``'s bits over its own 2d
     entries, whatever leading axes of one point ``xs[k]`` carries.  The
     first step above its envelope, or NaN, raises :class:`EnvelopeViolation`.
+
+    The envelope decays to 0, but a float iterate settles only to within a
+    few ulps of z*: coordinate i of z_k and of the solved z* are each
+    rounded to an ulp of at most ``eps |z*_i|`` (eps = 2^-52), and an update
+    below half an ulp is lost, so the iterate can stall there.  So a
+    distance passes up to ``envelope (1 + 1e-9) + 16 eps^2 |z*|^2``: four
+    ulps per coordinate, about twice the largest stall measured on a payoff
+    with z* != 0 (3.8 eps^2 |z*|^2).  With z* = 0 the floor is 0.
     """
     steps = len(xs) - 1
+    floor = 16.0 * np.finfo(float).eps ** 2 * float(star @ star)
     with np.errstate(all="ignore"):
         dz = (np.concatenate([xs, ys], axis=-1) - star).reshape(steps + 1, -1)
         dist_sq = np.add.reduce(dz * dz, axis=1)  # each step's np.sum bits
         envelopes = np.exp(-alpha * eta_gd * np.arange(steps + 1)) * dist_sq[0]
-        below = dist_sq <= envelopes * (1.0 + 1e-9)
+        below = dist_sq <= envelopes * (1.0 + 1e-9) + floor
     records = list(zip(range(steps + 1), dist_sq.tolist(), envelopes))
     if not below.all():
         k, dist, envelope = records[np.argmin(below)]

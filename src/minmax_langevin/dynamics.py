@@ -23,8 +23,8 @@ is separable), so the opponent average passes through the gradient exactly:
     b_Y[i] = +grad_y V(mean_j x^j, y^i)
 
 Each drift therefore costs one gradient call per role on ``N x d`` inputs
-rather than an ``N x N x d`` pairwise tensor, and the summation order (one
-fixed numpy reduction over the particle axis) never varies between runs.
+rather than an ``N x N x d`` pairwise tensor, and the summation order (set
+by the cloud's layout alone, :func:`_particle_sum`) never varies between runs.
 """
 
 from __future__ import annotations
@@ -166,18 +166,39 @@ class AlgorithmParams:
             )
 
 
+def _particle_sum(v: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(v, axis=-2, keepdims=True)``, bit for bit up to a NaN's
+    payload; one ``einsum`` pass where ``v``'s rows are packed d-vectors, d >= 2.
+
+    There ``add.reduce`` runs one d-wide inner loop per particle row and
+    ``einsum`` one strided loop, and both add the rows in index order.  At
+    d = 1 the particle axis is contiguous, so ``add.reduce`` sums it pairwise;
+    an F-ordered or reversed view also sums in another order: both keep it.
+    ``einsum`` sets no floating-point flags, so an overflowing sum does not
+    warn; the step that takes it raises :class:`DivergenceError` all the same.
+    """
+    d = v.shape[-1]
+    if d >= 2 and v.strides[-2:] == (d * v.itemsize, v.itemsize):
+        return np.einsum("...nd->...d", v)[..., None, :]
+    return np.add.reduce(v, axis=-2, keepdims=True)
+
+
 def drift_particles(spec: PayoffSpec, state: ParticleState):
     """Empirical-mean drift fields (b_X, b_Y), each of the state's shape.
 
-    The means run over the particle axis only, as ``np.add.reduce(...) / n``
+    The means run over the particle axis only, as a sum over it divided by n
     (numpy's ``mean`` bit for bit, without its per-call dispatch), so each
-    system of a stack drifts on its own, as it would unstacked.
+    system of a stack drifts on its own, as it would unstacked.  The sum is
+    :func:`_particle_sum`'s: one ``einsum`` pass over the packed clouds that
+    ``run`` and ``couple`` step at d >= 2 and over the probe stacks of
+    :func:`batched_joint_drift`, ``np.add.reduce`` on every other layout,
+    whose summation order ``einsum`` would change.
     """
     if state.dim != spec.dim:
         raise ValueError(f"state dimension {state.dim} != payoff dimension {spec.dim}")
     n = state.n_particles
-    x_bar = np.add.reduce(state.xs, axis=-2, keepdims=True) / n
-    y_bar = np.add.reduce(state.ys, axis=-2, keepdims=True) / n
+    x_bar = _particle_sum(state.xs) / n
+    y_bar = _particle_sum(state.ys) / n
     return -spec.grad_x(state.xs, y_bar), spec.grad_y(x_bar, state.ys)
 
 

@@ -23,7 +23,6 @@ per-phase ``timings``).
 
 from __future__ import annotations
 
-import json
 import platform
 import time
 from dataclasses import dataclass
@@ -376,6 +375,8 @@ def run_experiment(config: ExperimentConfig, output_dir=None) -> ReportBundle:
             "steps_per_s": config.algorithm.steps / loop_seconds,
         },
     }
+    import json  # here alone: a process that writes no manifest never imports it
+
     manifest_path = out / "manifest.json"
     write_ascii(manifest_path, json.dumps(manifest, indent=2) + "\n")
     return ReportBundle(

@@ -235,6 +235,22 @@ def test_canonical_run_and_check_calls_never_import_argparse(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_a_canonical_check_never_imports_json():
+    # Only run_experiment's manifest writer imports json.
+    script = (
+        "import sys\n"
+        "import minmax_langevin.cli as cli\n"
+        "assert cli.main(['check', '--seed', '3']) == 0\n"
+        "sys.exit('json imported' if 'json' in sys.modules else 0)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_a_canonical_run_never_loads_the_ascii_codec(tmp_path):
     # metrics.csv, manifest.json and the snapshots are encoded by
     # str.encode("ascii"), which needs no codec lookup; a text-mode file

@@ -25,8 +25,8 @@ from minmax_langevin import (
 from minmax_langevin.cli import main
 from minmax_langevin.dynamics import ParticleState
 from minmax_langevin.experiment import csv_header, initial_state
-from minmax_langevin.metrics import gaussian_kl, gaussian_w2
-from minmax_langevin.oracle import joint_equilibrium, transient_kl_envelope
+from minmax_langevin.metrics import fit_gaussian, gaussian_kl, gaussian_w2
+from minmax_langevin.oracle import GaussianDist, joint_equilibrium, transient_kl_envelope
 
 MINIMAL = """
 payoff.kind = QuadraticBilinear
@@ -62,6 +62,18 @@ def config_with(tmp_path, settings):
     return "\n".join(lines) + "\n"
 
 
+def first_kl_is_the_initial_fit(tmp_path) -> bool:
+    """Whether a run's step-0 ``kl_fit_to_eq`` is KL(fit || nu), bit for bit:
+    the fit of the particles :func:`initial_state` draws, against the
+    equilibrium reference.  A far mean makes the two directions differ."""
+    cfg = parse_config(config_with(tmp_path, {
+        "init.mean_mode": "explicit", "init.mean": "[3.0, -2.0]", "init.cov_scale": "0.3"}))
+    state, _ = initial_state(cfg, cfg.init, KeyedNoise(cfg.seed))
+    fit = GaussianDist(*fit_gaussian(state.pairs()))
+    expected = gaussian_kl(fit, joint_equilibrium(cfg.payoff, cfg.tau))
+    return run_experiment(cfg).records[0].kl_fit_to_eq == expected
+
+
 # (key, nonfinite value, other keys that make the key meaningful)
 # (settings, the key they set that the run would ignore, the key that makes
 # the run ignore it)
@@ -72,6 +84,17 @@ IGNORED_KEYS = [
     ({"coupled.mean": "[0.5, -0.5]"}, "coupled.mean", "coupled.mean_mode"),
     ({"coupled.kind": "gaussian", "coupled.snapshot": "absent.csv"}, "coupled.snapshot",
      "coupled.kind"),
+    ({"init.kind": "snapshot", "init.snapshot": "a.csv", "init.cov_scale": "0.5"},
+     "init.cov_scale", "init.kind"),
+    ({"init.kind": "snapshot", "init.snapshot": "a.csv", "init.mean_mode": "zero"},
+     "init.mean_mode", "init.kind"),
+    ({"init.kind": "snapshot", "init.snapshot": "a.csv", "init.mean_mode": ""},
+     "init.mean_mode", "init.kind"),
+    ({"coupled.kind": "snapshot", "coupled.snapshot": "b.csv",
+      "coupled.mean": "[0.5, -0.5]"}, "coupled.mean", "coupled.kind"),
+    ({"coupled.kind": "snapshot", "coupled.snapshot": "b.csv",
+      "coupled.mean_mode": "explicit", "coupled.mean": "[0.5, -0.5]"},
+     "coupled.mean_mode", "coupled.kind"),
 ]
 
 NONFINITE_FIELDS = [
@@ -154,8 +177,7 @@ class TestParsing:
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_snapshot_init_round_trip(self, tmp_path):
-        text = minimal_config(tmp_path, init__kind="snapshot",
-                              init__snapshot="init.csv", init__cov_scale="0.5",
+        text = minimal_config(tmp_path, init__kind="snapshot", init__snapshot="init.csv",
                               coupled__kind="snapshot", coupled__snapshot="b.csv")
         cfg = parse_config(text)
         assert parse_config(serialize_config(cfg)) == cfg
@@ -170,10 +192,8 @@ class TestParsing:
 
     def test_empty_values_and_numpy_scalars_round_trip(self, tmp_path):
         # An empty output.dir is the working directory, not the default
-        # "runs", and an empty mean_mode on a snapshot init is not the
-        # default "warm_start"; both must be written to read back.
-        text = config_with(tmp_path, {"output.dir": "", "init.kind": "snapshot",
-                                      "init.snapshot": "a.csv", "init.mean_mode": ""})
+        # "runs"; it must be written to read back.
+        text = config_with(tmp_path, {"output.dir": ""})
         cfg = parse_config(text)
         assert parse_config(serialize_config(cfg)) == cfg
         numpy_seed = dataclasses.replace(cfg, seed=np.uint64(7))
@@ -320,6 +340,9 @@ class TestRunArtifacts:
                 assert rec.envelope_kl == joint
             else:
                 assert rec.envelope_kl == pytest.approx(joint, rel=rel, abs=0.0)
+
+    def test_first_kl_is_the_initial_fit(self, tmp_path):
+        assert first_kl_is_the_initial_fit(tmp_path)
 
     def test_perturbed_runs_label_proxy_reference(self, tmp_path):
         text = minimal_config(tmp_path, payoff__amplitude="0.1",
@@ -518,7 +541,8 @@ class TestCliCommands:
     def test_a_config_holding_an_ignored_key_is_never_built(self, tmp_path):
         config = parse_config(minimal_config(tmp_path))
         for init in [InitSpec(mean=(0.5, -0.5)), InitSpec(mean_mode="zero", mean=(1.0, 1.0)),
-                     InitSpec(snapshot="init.csv")]:
+                     InitSpec(snapshot="init.csv"),
+                     InitSpec(kind="snapshot", snapshot="init.csv", cov_scale=0.5)]:
             with pytest.raises(ConfigError, match="is ignored unless"):
                 dataclasses.replace(config, init=init)
             with pytest.raises(ConfigError, match="^coupled[.]"):

@@ -12,10 +12,12 @@ from minmax_langevin import (
     gd_step,
     solve_equilibrium,
 )
+from minmax_langevin import checks
 from minmax_langevin.checks import check_gd_envelope, default_specs
 from minmax_langevin.deterministic import grad_norm
 from minmax_langevin.payoff import Constants
 from test_dynamics import dense_specs
+from test_mutants import SHIFTED
 
 
 def scalar_quadratic(c=1.0, u=0.0, v=0.0):
@@ -200,6 +202,25 @@ class TestAuditViolation:
         assert result.name == "gd_rate_envelope[Overclaimed]"
         assert not result.passed
         assert "exceeds envelope" in result.detail
+
+
+class TestRoundingFloor:
+    """Off z* = 0 the descent stalls a few ulps from z* while its envelope
+    keeps decaying; the audit passes such a stall, up to 16 eps^2 |z*|^2."""
+
+    def test_the_envelope_suite_passes_off_the_origin_at_seeds_0_to_15(self):
+        results = [check_gd_envelope(SHIFTED, seed=seed) for seed in range(16)]
+        assert [r.detail for r in results if not r.passed] == []
+
+    def test_the_stall_is_above_the_envelope_and_under_the_floor(self):
+        # Seed 8 stalls highest of seeds 0-15: 3.77 eps^2 |z*|^2.
+        z_star = solve_equilibrium(SHIFTED)[0].vector
+        x, y = checks._normals(8, "gd-envelope", 2, 2)
+        records = gd_rate_audit(SHIFTED, JointPoint(x=x, y=y),
+                                SHIFTED.constants().eta_gd, checks._GD_STEPS)
+        unit = np.finfo(float).eps ** 2 * float(z_star @ z_star)
+        excess = [dist for _, dist, envelope in records if dist > envelope * (1 + 1e-9)]
+        assert excess and 1.0 < max(excess) / unit < 16.0
 
 
 def reference_audit(spec, z0, eta, steps):

@@ -25,6 +25,10 @@ plus ``ripple``, so neither calls its ``grad_x`` (the default payoffs have
 z* = 0, where the flip moves no equilibrium).  The drift identity of
 ``test_probe_sweep`` and the descent identity of ``test_gd_stack`` fail
 under it too; all three are pinned.
+KL's arguments swapped where ``experiment``'s score takes each fit's KL to the
+equilibrium (KL(nu || fit) for KL(fit || nu)) fails no suite of ``check``,
+which never runs ``run``; the value test of the first ``kl_fit_to_eq``
+record in ``test_config_cli`` catches it, and is pinned.
 """
 
 import dataclasses
@@ -32,9 +36,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from test_config_cli import first_kl_is_the_initial_fit
 from test_probe_sweep import perturbed_payoffs, ripple_identity_holds
 
-from minmax_langevin import checks, dynamics, rng
+from minmax_langevin import checks, dynamics, experiment, rng
 from minmax_langevin.payoff import PerturbedQuadratic
 
 QUAD, _ = checks.default_specs()
@@ -43,6 +48,7 @@ SHIFTED = dataclasses.replace(QUAD, u=[1.0, -1.0], v=[0.5, 0.25])
 SEED = 8
 _BLOCK = rng.KeyedNoise.block
 _STEP = dynamics.step_algorithm
+_KL = experiment.gaussian_kl
 
 
 def opponent_mean_over_every_leading_axis(spec, state):
@@ -92,6 +98,12 @@ def ripple_sign_flipped_in_grad_x(self, x, y):
     """grad_x adds the ripple where it must subtract it; ``ripple`` is intact."""
     x, y = self.base._check_point(x, y)
     return self.base.grad_x(x, y) + self.ripple(x)
+
+
+def kl_direction_swapped_in_the_score(p, q):
+    """The score's stack of fits takes KL(nu || fit); the envelope's KL of the
+    one initial law keeps its direction."""
+    return _KL(q, p) if np.ndim(p.mean) == 2 else _KL(p, q)
 
 
 # (mutant, patched owner, attribute, the suite that catches it, its result name)
@@ -151,3 +163,9 @@ def test_the_descent_identity_catches_the_ripple_sign_flipped_in_grad_x(monkeypa
     assert descent_identity_holds(pert, seed=SEED)
     monkeypatch.setattr(PerturbedQuadratic, "grad_x", ripple_sign_flipped_in_grad_x)
     assert not descent_identity_holds(pert, seed=SEED)
+
+
+def test_the_first_kl_value_test_catches_the_kl_direction_swapped(monkeypatch, tmp_path):
+    assert first_kl_is_the_initial_fit(tmp_path / "plain")
+    monkeypatch.setattr(experiment, "gaussian_kl", kl_direction_swapped_in_the_score)
+    assert not first_kl_is_the_initial_fit(tmp_path / "mutant")
